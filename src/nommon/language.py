@@ -126,12 +126,23 @@ class SyntacticResult:
         self.congruence = congruence
 
 
-def syntactic_congruence(m, p, budget=None):
-    """m ~ m' iff no context (u, v) tells them apart through p.
+def syntactic_classes(m, p, budget=None):
+    """The classes of the syntactic congruence of p on the context pool.
 
-    Contexts range over the elements supported by supp(p) plus 4k
-    fresh atoms; joint equivariance of the separation predicate makes
-    that pool exhaustive for all orbit patterns.
+    The pool E holds the elements supported by supp(p) plus 4k fresh
+    atoms; joint equivariance of the separation predicate makes it
+    exhaustive for all orbit patterns. E contains the unit and is closed
+    under multiplication, since supp(xy) is a subset of supp x | supp y.
+    So "no context (u, v) in E x E tells x and y apart through p" is
+    the coarsest partition of E that refines {p, not p} and is stable
+    under multiplication by E on either side.
+
+    That partition is found by Moore refinement over the multiplication
+    table T[i][j] = index of e_i e_j, built once with |E|^2 multiplies
+    (one tick each). Each round gives i the class of the key (class of
+    i, classes of row i, classes of column i) and ticks once per
+    element; it stops when the class count stops growing. Classes come
+    in the order of their first member in E.
     """
     budget = ensure_budget(budget)
     if p.carrier != m.carrier:
@@ -141,20 +152,47 @@ def syntactic_congruence(m, p, budget=None):
     gen = fresh_stream(s)
     pool = s + [next(gen) for _ in range(4 * k)]
     elems = elements_with_support(m.carrier, pool, budget=budget)
-    in_p = {e: fs_member(p, e) for e in elems}
-    # signature(x) = the contexts (u, v) with u x v in p; x ~ y iff the
-    # signatures agree
-    groups = {}
+    index = {e: i for i, e in enumerate(elems)}
+    rows = []
     for x in elems:
-        sig = []
-        for v in elems:
+        row = []
+        for y in elems:
             budget.tick()
-            xv = m.multiply(x, v)
-            for u in elems:
-                sig.append(in_p[m.multiply(u, xv)])
-        groups.setdefault(tuple(sig), []).append(x)
+            row.append(index[m.multiply(x, y)])
+        rows.append(row)
+    columns = list(zip(*rows))
+    cls = [int(fs_member(p, e)) for e in elems]
+    count = len(set(cls))
+    while True:
+        ids = {}
+        refined = []
+        for i in range(len(elems)):
+            budget.tick()
+            key = (
+                cls[i],
+                tuple(map(cls.__getitem__, rows[i])),
+                tuple(map(cls.__getitem__, columns[i])),
+            )
+            refined.append(ids.setdefault(key, len(ids)))
+        cls = refined
+        if len(ids) == count:
+            break
+        count = len(ids)
+    groups = {}
+    for x, c in zip(elems, cls):
+        groups.setdefault(c, []).append(x)
+    return list(groups.values())
+
+
+def syntactic_congruence(m, p, budget=None):
+    """m ~ m' iff no context (u, v) tells them apart through p.
+
+    The classes come from ``syntactic_classes``; the congruence is
+    presented by the pairs within each class, supported by supp(p).
+    """
+    budget = ensure_budget(budget)
     pairs = []
-    for members in groups.values():
+    for members in syntactic_classes(m, p, budget=budget):
         for x in members:
             for y in members:
                 budget.tick()

@@ -33,7 +33,11 @@ from nommon.sets import (
 
 
 class NominalMonoid:
-    """Carrier + unit + multiplication on canonical product orbits."""
+    """Carrier + unit + multiplication on canonical product orbits.
+
+    Monoids are values: two are equal when carrier, unit and
+    multiplication map are, whichever objects hold them.
+    """
 
     def __init__(self, carrier, unit, mult, product=None):
         if unit.set != carrier:
@@ -45,6 +49,7 @@ class NominalMonoid:
             raise InvalidInput("mult must map carrier x carrier to carrier")
         self.mult = mult
         self._cache = {}
+        self._hash = hash((carrier, unit, mult))
 
     def multiply(self, x, y):
         key = (x, y)
@@ -53,6 +58,18 @@ class NominalMonoid:
             z = self.mult(self.product.pair(x, y))
             self._cache[key] = z
         return z
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, NominalMonoid)
+            and self._hash == other._hash
+            and self.carrier == other.carrier
+            and self.unit == other.unit
+            and self.mult == other.mult
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"NominalMonoid({len(self.carrier.orbits)} orbits)"
@@ -178,17 +195,43 @@ def omega_power(m, x):
     return idempotents[0]
 
 
-def omega_exponent(m):
-    """(n * k!)! with n the orbit count and k the bound; exact integer."""
-    n = len(m.carrier.orbits)
-    k = m.carrier.bound
-    return factorial(n * factorial(k))
+def factorial_power_index(n, start, period):
+    """Index into the powers of ``_power_cycle`` that holds x^(n!).
+
+    n! is never materialized: the running product i! is kept exactly
+    while it still indexes the tail and the first pass of the cycle,
+    and modulo the period after that.
+    """
+    last = start + period
+    f = 1
+    past_tail = False
+    for i in range(2, n + 1):
+        f *= i
+        if past_tail:
+            f %= period
+            if f == 0:
+                break
+        elif f > last:
+            past_tail = True
+            f %= period
+    if not past_tail:
+        return f - 1
+    # as in power: exponents past the tail repeat with the period
+    return start + (f - 1 - start) % period
 
 
 def check_omega_formula(m):
-    """Does x^((n*k!)!) equal the idempotent power for every orbit rep?"""
-    e = omega_exponent(m)
-    return all(power(m, x, e) == omega_power(m, x) for x in orbit_reps(m.carrier))
+    """Does x^((n*k!)!) equal the idempotent power for every orbit rep?
+
+    n is the orbit count and k the bound; the exponent is reduced
+    along each power cycle by ``factorial_power_index``.
+    """
+    n = len(m.carrier.orbits) * factorial(m.carrier.bound)
+    for x in orbit_reps(m.carrier):
+        powers, start, period = _power_cycle(m, x)
+        if powers[factorial_power_index(n, start, period)] != omega_power(m, x):
+            return False
+    return True
 
 
 def is_aperiodic(m):
@@ -218,13 +261,13 @@ class MonoidMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, MonoidMorphism)
-            and self.dom is other.dom
-            and self.cod is other.cod
+            and self.dom == other.dom
+            and self.cod == other.cod
             and self.map == other.map
         )
 
     def __hash__(self):
-        return hash((id(self.dom), id(self.cod), self.map))
+        return hash((self.dom, self.cod, self.map))
 
 
 def validate_morphism(h, budget=None):
@@ -328,12 +371,12 @@ class GeneratorMap:
         return (
             isinstance(other, GeneratorMap)
             and self.sigma == other.sigma
-            and self.monoid is other.monoid
+            and self.monoid == other.monoid
             and self.h0 == other.h0
         )
 
     def __hash__(self):
-        return hash((self.sigma, id(self.monoid), self.h0))
+        return hash((self.sigma, self.monoid, self.h0))
 
 
 def _orbit_assignment_choices(sigma, carrier, orbit_index, budget):

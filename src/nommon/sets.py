@@ -441,35 +441,40 @@ def check_map_well_defined(f):
 # products
 
 
-def joint_atoms(x, y):
-    """Atoms of the pair (x, y) in first-occurrence order."""
-    out = []
-    seen = set()
-    for a in x.tuple + y.tuple:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
-
-
 def pair_pattern(x, y):
     """Canonical orbit invariant of the pair (x, y) plus the minimizing
-    relabeling atom -> label in {0..d-1}."""
-    atoms = joint_atoms(x, y)
-    d = len(atoms)
-    xg = x.descriptor().group
-    yg = y.descriptor().group
+    relabeling atom -> label in {0..d-1}.
+
+    The invariant is the least (x.orbit, x labels, y.orbit, y labels)
+    over all relabelings of the joint atoms, each label tuple read up to
+    its orbit's position group. Its x labels are always 0..m-1, which
+    only the relabelings numbering x's atoms in the order x.tuple[g[i]]
+    for some g in G_x attain. For such a g and a reading order h in G_y
+    of y's tuple, giving each atom not in x the next free label at its
+    first occurrence is the least choice, so the minimum over all
+    (g, h) is the minimum over all d! relabelings.
+    """
+    xt = x.tuple
+    yt = y.tuple
+    ygroup = y.descriptor().group
     best = None
     best_ren = None
-    for per in permutations(range(d)):
-        ren = dict(zip(atoms, per))
-        xt = min_coset(tuple(ren[a] for a in x.tuple), xg)
-        yt = min_coset(tuple(ren[a] for a in y.tuple), yg)
-        cand = (x.orbit, xt, y.orbit, yt)
-        if best is None or cand < best:
-            best = cand
-            best_ren = ren
-    return best, best_ren
+    for g in x.descriptor().group:
+        x_ren = {xt[p]: i for i, p in enumerate(g)}
+        for h in ygroup:
+            ren = dict(x_ren)
+            labels = []
+            for p in h:
+                a = yt[p]
+                label = ren.get(a)
+                if label is None:
+                    label = ren[a] = len(ren)
+                labels.append(label)
+            cand = tuple(labels)
+            if best is None or cand < best:
+                best = cand
+                best_ren = ren
+    return (x.orbit, tuple(range(len(xt))), y.orbit, best), best_ren
 
 
 class ProductSet:

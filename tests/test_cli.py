@@ -148,6 +148,12 @@ def test_budget_exhaustion(capsys):
     assert "budget exhausted" in out
 
 
+def test_syntactic_budget_exhaustion(capsys):
+    code, out = run(capsys, "syntactic", "l0", "--budget", "1000")
+    assert code == 3
+    assert "budget exhausted" in out
+
+
 def test_unknown_language(capsys):
     code, out = run(capsys, "member", "nosuch", "a")
     assert code == 2

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from nommon.catalog import builder
-from nommon.errors import InvalidInput
+from nommon.errors import Budget, InvalidInput
 from nommon.language import (
     Language,
     Word,
@@ -13,6 +13,7 @@ from nommon.language import (
     eval_word,
     language_boolean,
     member,
+    syntactic_congruence,
     syntactic_monoid,
     syntactic_of_language,
 )
@@ -201,3 +202,44 @@ def test_syntactic_merges_only_inseparable_pairs():
     for x, y in itertools.combinations(elems, 2):
         if syn.projection(x) == syn.projection(y):
             assert sigs[x] == sigs[y]
+
+
+def test_syntactic_budget_contract():
+    # at most one multiply between consecutive ticks, and the refinement
+    # rounds between the table build and the pair loop tick too
+    m = builder("l0_recognizer")
+    p = FsSubset.from_elements(m.carrier, (), [orbit_reps(m.carrier)[3]])
+    events = []
+    budget = Budget()
+    tick, multiply, pair = budget.tick, m.multiply, m.product.pair
+
+    def counted_tick(n=1):
+        events.append("tick")
+        tick(n)
+
+    def counted_multiply(x, y):
+        z = multiply(x, y)  # its own pairing happens before the event
+        events.append("multiply")
+        return z
+
+    def counted_pair(x, y):
+        events.append("pair")
+        return pair(x, y)
+
+    budget.tick = counted_tick
+    m.multiply = counted_multiply
+    m.product.pair = counted_pair
+    syntactic_congruence(m, p, budget=budget)
+
+    between = 0
+    for e in events:
+        if e == "tick":
+            between = 0
+        elif e == "multiply":
+            between += 1
+            assert between <= 1
+    contexts = 129  # elements over 4k = 8 atoms
+    assert events.count("multiply") == contexts**2
+    last = len(events) - 1 - events[::-1].index("multiply")
+    refinement = events[last + 1 : events.index("pair", last)]
+    assert refinement.count("tick") >= contexts

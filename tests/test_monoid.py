@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
+from math import factorial
 
 import pytest
 
-from nommon.catalog import builder, catalog_names
+from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import InvalidInput
 from nommon.monoid import (
     Assignment,
@@ -14,6 +16,7 @@ from nommon.monoid import (
     congruence_generated,
     enumerate_monoid_maps,
     enumerate_small_monoids,
+    factorial_power_index,
     find_isomorphism,
     image_factorization,
     is_aperiodic,
@@ -134,6 +137,36 @@ def test_omega_formula(name):
     assert check_omega_formula(builder(name))
 
 
+def cycle_index(e, start, period):
+    """Index of x^e in the powers x, x^2, ... of a cycle, for e >= 1."""
+    if e <= start + period:
+        return e - 1
+    return start + (e - 1 - start) % period
+
+
+CYCLES = [(0, 1), (0, 2), (3, 5), (2, 7), (1, 12), (0, 999_983), (4, 1_000_003)]
+
+
+@pytest.mark.parametrize("start, period", CYCLES)
+def test_factorial_power_index_small_arguments(start, period):
+    for n in range(30):
+        expected = cycle_index(factorial(n), start, period)
+        assert factorial_power_index(n, start, period) == expected
+
+
+@pytest.mark.parametrize("start, period", [(1, 12), (4, 1_000_003)])
+def test_factorial_power_index_huge_argument(start, period):
+    # x^(i!) = (x^((i-1)!))^i, stepped along the cycle one i at a time
+    n = 10**6
+    e = 1
+    for i in range(2, n + 1):
+        e = cycle_index(e * i, start, period) + 1
+    began = time.perf_counter()
+    got = factorial_power_index(n, start, period)
+    assert time.perf_counter() - began < 1.0
+    assert got == e - 1
+
+
 def test_aperiodicity():
     expected = {name: True for name in catalog_names()}
     expected["cyclic2"] = expected["cyclic3"] = False
@@ -178,6 +211,15 @@ def test_identity_morphism_valid():
 
 def test_p1_not_isomorphic_to_p2():
     assert find_isomorphism(builder("first_proj"), builder("last_proj")) is None
+
+
+def test_monoids_and_morphisms_compare_by_value():
+    a, b = builder("first_proj"), builder("first_proj")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != builder("last_proj")
+    assert identity_morphism(a) == identity_morphism(b)
+    assert hash(identity_morphism(a)) == hash(identity_morphism(b))
+    assert letters_map("first_proj", a) == letters_map("first_proj", b)
 
 
 # --- submonoids and images ------------------------------------------------

@@ -211,6 +211,21 @@ def test_clopen_roundtrip_is_identity():
             assert member(back, w) == member(lang, w)
 
 
+def test_clopen_of_language_from_an_equal_recognizer():
+    # a second construction of the same language is recognized at the
+    # stage: monoids compare by value, not by identity
+    stage = build_stage(
+        atoms_set(), endpoints_bound(), [catalog_language("first-a").genmap]
+    )
+    again = catalog_language("first-a")
+    assert again.genmap.monoid is not stage.quotients[0].monoid
+    c = clopen_of_language(stage, again)
+    back = language_of_clopen(stage, c)
+    for t in words_upto(3):
+        w = Word.of_atoms(t)
+        assert member(back, w) == member(again, w)
+
+
 def test_clopen_reverse_roundtrip_is_identity():
     stage, langs = stage_with_languages()
     for lang in langs:
