@@ -101,32 +101,29 @@ def _expand_keys(carrier, support, keys, larger):
 
 
 def _normalize(carrier, support, keys):
-    """Shrink the support to the least one fixing the subset."""
-    support = set(support)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(support):
-            smaller = frozenset(support - {a})
-            b = next(fresh_stream(support))
-            larger = frozenset(support | {b})
-            # the subset is (S \ {a})-supported iff the fresh transposition
-            # (a b) fixes it
-            tmp = FsSubset(carrier, frozenset(support), keys, _normalized=True)
-            original = _expand_keys(carrier, frozenset(support), keys, larger)
-            swapped = {
-                s_orbit_key(act(Perm.swap(a, b), instantiate_s_key(carrier, k, larger)),
-                            larger)
-                for k in original
-            }
-            if swapped == original:
-                keys = {s_orbit_key(r, smaller)
-                        for r in s_orbit_reps(carrier, smaller)
-                        if member(tmp, r)}
-                support = set(smaller)
-                changed = True
-                break
-    return frozenset(support), frozenset(keys)
+    """Shrink the support to the least one fixing the subset.
+
+    For b outside S, the subset is (S \\ {a})-supported iff the
+    transposition (a b) fixes it, and the least support is the
+    intersection of all supports. So one expansion to S + {b} decides
+    every atom: the least support is the set of atoms (a b) moves.
+    """
+    if not support:
+        return support, keys
+    b = next(fresh_stream(support))
+    larger = support | {b}
+    expanded = _expand_keys(carrier, support, keys, larger)
+    reps = [instantiate_s_key(carrier, k, larger) for k in expanded]
+    least = frozenset(
+        a for a in support
+        if any(s_orbit_key(act(Perm.swap(a, b), r), larger) not in expanded
+               for r in reps)
+    )
+    if least == support:
+        return support, keys
+    # the subset is a union of least-orbits, and each of them contains
+    # the representative of one of its (S + {b})-orbits
+    return least, frozenset(s_orbit_key(r, least) for r in reps)
 
 
 def least_support_subset(subset):

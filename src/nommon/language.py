@@ -12,8 +12,7 @@ from nommon.fssets import member as fs_member
 from nommon.fssets import preimage_subset
 from nommon.monoid import (
     GeneratorMap,
-    MonoidMorphism,
-    compose_morphisms,
+    coimage,
     congruence_generated,  # noqa: F401  (re-export convenience)
     Congruence,
     product_monoid,
@@ -24,6 +23,7 @@ from nommon.sets import (
     Element,
     act,
     atoms_set,
+    compose_maps,
     elements_with_support,
     map_from_concrete,
 )
@@ -218,26 +218,13 @@ def syntactic_of_language(lang, budget=None):
     the letter images (the coimage of evaluation), so the result is
     the syntactic monoid of the language, not of the ambient predicate.
     """
-    from nommon.monoid import submonoid_generated
-    from nommon.sets import compose_maps, orbit_reps
-
-    m = lang.genmap.monoid
-    gens = [lang.genmap(x) for x in orbit_reps(lang.alphabet)]
-    sub = submonoid_generated(m, gens)
-    to_sub = {f: s for s, f in enumerate(sub.orbit_indices)}
-    restricted_h0 = map_from_concrete(
-        lang.alphabet,
-        sub.monoid.carrier,
-        lambda x: Element(
-            sub.monoid.carrier, to_sub[lang.genmap(x).orbit], lang.genmap(x).tuple
-        ),
-    )
-    restricted_p = preimage_subset(sub.inclusion.map, lang.predicate, budget=budget)
-    syn = syntactic_monoid(sub.monoid, restricted_p, budget=budget)
+    g, incl = coimage(lang.genmap)
+    restricted_p = preimage_subset(incl.map, lang.predicate, budget=budget)
+    syn = syntactic_monoid(g.monoid, restricted_p, budget=budget)
     h0 = GeneratorMap(
         lang.alphabet,
         syn.monoid,
-        compose_maps(syn.projection.map, restricted_h0),
+        compose_maps(syn.projection.map, g.h0),
     )
     return Language(h0, syn.predicate), syn
 

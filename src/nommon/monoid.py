@@ -22,7 +22,6 @@ from nommon.sets import (
     OrbitDescriptor,
     OrbitFiniteSet,
     act,
-    apply_positions,
     check_map_well_defined,
     elements_with_support,
     map_from_concrete,
@@ -416,12 +415,17 @@ def enumerate_monoid_maps(sigma, m, budget=None):
 
 
 class SubMonoid:
-    """An equivariant submonoid: a union of carrier orbits."""
+    """An equivariant submonoid: a union of carrier orbits.
 
-    def __init__(self, monoid, inclusion, orbit_indices):
+    ``restrict`` sends an ambient element of those orbits to the same
+    point of the submonoid's carrier; it inverts ``inclusion``.
+    """
+
+    def __init__(self, monoid, inclusion, orbit_indices, restrict):
         self.monoid = monoid
         self.inclusion = inclusion
         self.orbit_indices = tuple(orbit_indices)
+        self.restrict = restrict
 
 
 def _mult_orbit_table(m):
@@ -468,7 +472,7 @@ def submonoid_from_orbits(m, indices):
         sub_set, unit, lambda x, y: restrict(m.multiply(embed(x), embed(y)))
     )
     incl = map_from_concrete(sub_set, m.carrier, embed)
-    return SubMonoid(sub, MonoidMorphism(sub, m, incl), selected)
+    return SubMonoid(sub, MonoidMorphism(sub, m, incl), selected, restrict)
 
 
 def submonoid_generated(m, gens):
@@ -476,19 +480,32 @@ def submonoid_generated(m, gens):
     return submonoid_from_orbits(m, closed_orbit_indices(m, {g.orbit for g in gens}))
 
 
+def coimage(genmap):
+    """Restrict a generator map onto the submonoid its letters generate.
+
+    Returns (the generator map onto that submonoid, its inclusion
+    morphism into the ambient monoid).
+    """
+    sub = submonoid_generated(
+        genmap.monoid, [genmap(x) for x in orbit_reps(genmap.sigma)]
+    )
+    h0 = map_from_concrete(
+        genmap.sigma, sub.monoid.carrier, lambda x: sub.restrict(genmap(x))
+    )
+    return GeneratorMap(genmap.sigma, sub.monoid, h0), sub.inclusion
+
+
 def image_factorization(h):
     """h = inclusion after surjection-onto-image."""
     image_orbits = {h.map.assignment[i].orbit for i in range(len(h.dom.carrier.orbits))}
     image_orbits.add(h.cod.unit.orbit)
     sub = submonoid_from_orbits(h.cod, image_orbits)
-    to_sub = {f: s for s, f in enumerate(sub.orbit_indices)}
-
-    def onto(x):
-        y = h(x)
-        return Element(sub.monoid.carrier, to_sub[y.orbit], y.tuple)
-
     e = MonoidMorphism(
-        h.dom, sub.monoid, map_from_concrete(h.dom.carrier, sub.monoid.carrier, onto)
+        h.dom,
+        sub.monoid,
+        map_from_concrete(
+            h.dom.carrier, sub.monoid.carrier, lambda x: sub.restrict(h(x))
+        ),
     )
     return e, sub.inclusion
 

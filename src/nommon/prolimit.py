@@ -17,17 +17,14 @@ from nommon.bounds import (
     msr_closure_suite,
 )
 from nommon.errors import InvalidInput, ensure_budget
-from nommon.fssets import FsSubset
-from nommon.fssets import member as fs_member
 from nommon.fssets import preimage_subset
 from nommon.monoid import (
-    GeneratorMap,
+    coimage,
     compose_morphisms,
     enumerate_small_monoids,
     omega_power,
-    submonoid_generated,
 )
-from nommon.sets import Element, map_from_concrete, orbit_reps
+from nommon.sets import Element
 
 
 class OmegaTerm:
@@ -176,21 +173,6 @@ class TruncatedStage:
         return self.join.monoid
 
 
-def _coimage(genmap):
-    """Restrict a generator map onto the submonoid it generates."""
-    m = genmap.monoid
-    sub = submonoid_generated(m, [genmap(x) for x in orbit_reps(genmap.sigma)])
-    to_sub = {f: i for i, f in enumerate(sub.orbit_indices)}
-    h0 = map_from_concrete(
-        genmap.sigma,
-        sub.monoid.carrier,
-        lambda x: Element(
-            sub.monoid.carrier, to_sub[genmap(x).orbit], genmap(x).tuple
-        ),
-    )
-    return GeneratorMap(genmap.sigma, sub.monoid, h0), sub.inclusion
-
-
 def build_stage(sigma, s, quotients, budget=None):
     budget = ensure_budget(budget)
     quotients = list(quotients)
@@ -204,7 +186,7 @@ def build_stage(sigma, s, quotients, budget=None):
         if not rep.ok:
             raise InvalidInput(f"stage quotient is not s-bounded: {rep.witness}")
         if stage is None:
-            join, incl = _coimage(q)
+            join, incl = coimage(q)
             stage = TruncatedStage(sigma, s, [q], join, [incl], rep)
         else:
             stage, _ = extend_stage(stage, q, budget=budget)

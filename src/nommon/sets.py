@@ -47,11 +47,6 @@ class OrbitDescriptor:
         self.group = _group if _group is not None else generate_group(dim, generators)
         self._hash = hash((dim, self.group))
 
-    @property
-    def generators(self):
-        # the full group doubles as a (redundant) generator list
-        return self.group
-
     def __eq__(self, other):
         return (
             isinstance(other, OrbitDescriptor)
@@ -129,11 +124,6 @@ class Element:
 
     def __repr__(self):
         return f"Element(orbit={self.orbit}, atoms={self.tuple})"
-
-
-def canonicalize(owner, orbit_index, atoms):
-    """Canonical coset representative of ``atoms`` in the given orbit."""
-    return Element(owner, orbit_index, atoms)
 
 
 def act(pi, x):

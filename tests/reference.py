@@ -1,17 +1,24 @@
 """Brute-force reference implementations, kept as test oracles.
 
-The library finds pair patterns by first-occurrence relabeling and the
-syntactic congruence by partition refinement. These are the direct
-definitions those replaced; the differential tests check the fast
-paths against them.
+The library finds pair patterns by first-occurrence relabeling, the
+syntactic congruence by partition refinement and the least support of
+a subset in one transposition pass. These are the direct definitions
+those replaced; the differential tests check the fast paths against
+them.
 """
 
 from itertools import permutations
 
-from nommon.fssets import member as fs_member
+from nommon.fssets import FsSubset, _expand_keys, member
 from nommon.kernel import min_coset
-from nommon.perm import fresh_stream
-from nommon.sets import elements_with_support
+from nommon.perm import Perm, fresh_stream
+from nommon.sets import (
+    act,
+    elements_with_support,
+    instantiate_s_key,
+    s_orbit_key,
+    s_orbit_reps,
+)
 
 
 def joint_atoms(x, y):
@@ -68,8 +75,37 @@ def syntactic_classes(m, p, contexts=None):
     ``context_products`` result for p's support, shared between
     predicates with the same support."""
     elems, products = contexts or context_products(m, p.support)
-    in_p = [fs_member(p, e) for e in elems]
+    in_p = [member(p, e) for e in elems]
     groups = {}
     for x in elems:
         groups.setdefault(tuple(in_p[i] for i in products[x]), []).append(x)
     return list(groups.values())
+
+
+def normalize(carrier, support, keys):
+    """Shrink the support to the least one fixing the subset."""
+    support = set(support)
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(support):
+            smaller = frozenset(support - {a})
+            b = next(fresh_stream(support))
+            larger = frozenset(support | {b})
+            # the subset is (S \ {a})-supported iff the fresh transposition
+            # (a b) fixes it
+            tmp = FsSubset(carrier, frozenset(support), keys, _normalized=True)
+            original = _expand_keys(carrier, frozenset(support), keys, larger)
+            swapped = {
+                s_orbit_key(act(Perm.swap(a, b), instantiate_s_key(carrier, k, larger)),
+                            larger)
+                for k in original
+            }
+            if swapped == original:
+                keys = {s_orbit_key(r, smaller)
+                        for r in s_orbit_reps(carrier, smaller)
+                        if member(tmp, r)}
+                support = set(smaller)
+                changed = True
+                break
+    return frozenset(support), frozenset(keys)

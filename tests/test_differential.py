@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 
 import reference
 from nommon.catalog import builder, catalog_names
-from nommon.fssets import FsSubset, preimage_subset
+from nommon.fssets import FsSubset, _expand_keys, _normalize, preimage_subset
 from nommon.kernel import min_coset
 from nommon.language import catalog_language, syntactic_classes
-from nommon.monoid import monoid_from_concrete, submonoid_generated
+from nommon.monoid import coimage, monoid_from_concrete
 from nommon.sets import (
     OrbitDescriptor,
     OrbitFiniteSet,
     orbit_reps,
     pair_pattern,
+    s_orbit_key,
+    s_orbit_reps,
     strong_set,
 )
 
@@ -120,11 +122,10 @@ def test_syntactic_classes_match_on_supported_predicates(data):
 def test_syntactic_classes_l2_any():
     # the restriction syntactic_of_language makes before the congruence
     lang = catalog_language("l2-any")
-    gens = [lang.genmap(x) for x in orbit_reps(lang.alphabet)]
-    sub = submonoid_generated(lang.genmap.monoid, gens)
-    p = preimage_subset(sub.inclusion.map, lang.predicate)
-    fast = syntactic_classes(sub.monoid, p)
-    assert partition(fast) == partition(reference.syntactic_classes(sub.monoid, p))
+    g, incl = coimage(lang.genmap)
+    p = preimage_subset(incl.map, lang.predicate)
+    fast = syntactic_classes(g.monoid, p)
+    assert partition(fast) == partition(reference.syntactic_classes(g.monoid, p))
     assert len(fast) > 1
 
 
@@ -151,3 +152,53 @@ def test_syntactic_classes_need_two_sided_contexts():
     fast = partition(syntactic_classes(m, p))
     assert fast == partition(reference.syntactic_classes(m, p))
     assert not any(reps[4] in c and reps[5] in c for c in fast)
+
+
+# carriers up to dim 3 with the Z/2, C3 and S3 position groups, together
+# and one orbit at a time
+SMALL_SYMMETRIC = OrbitFiniteSet(SYMMETRIC.orbits[:6])
+SUPPORT_CARRIERS = [SMALL_SYMMETRIC] + [
+    OrbitFiniteSet([o]) for o in SYMMETRIC.orbits[3:6]
+]
+
+
+@st.composite
+def supported_subsets(draw):
+    """(carrier, S, keys): a random union of T-orbits for some T inside
+    S, written over S, so that every atom of S outside T can drop."""
+    carrier = draw(st.sampled_from(SUPPORT_CARRIERS))
+    support = draw(st.sets(st.integers(0, 5), max_size=3))
+    inner = draw(st.sets(st.sampled_from(sorted(support)))) if support else set()
+    reps = s_orbit_reps(carrier, inner)
+    chosen = draw(st.sets(st.sampled_from(reps))) if reps else set()
+    keys = {s_orbit_key(r, inner) for r in chosen}
+    return carrier, frozenset(support), frozenset(
+        _expand_keys(carrier, frozenset(inner), keys, frozenset(support))
+    )
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(supported_subsets())
+def test_normalize_matches_restart_loop(case):
+    assert _normalize(*case) == reference.normalize(*case)
+
+
+def test_normalize_drops_every_atom_of_the_full_subset():
+    support = frozenset({0, 1, 2})
+    carrier = SMALL_SYMMETRIC
+    keys = frozenset(s_orbit_key(r, support) for r in s_orbit_reps(carrier, support))
+    full = FsSubset(carrier, support, keys)
+    assert full.support == frozenset()
+    assert full == FsSubset.full(carrier)
+    assert (full.support, full.keys) == reference.normalize(carrier, support, keys)
+
+
+@pytest.mark.parametrize("orbit", [3, 4, 5])
+def test_normalize_shrinks_singleton_to_its_support(orbit):
+    x = SMALL_SYMMETRIC.element(orbit, range(SMALL_SYMMETRIC.orbits[orbit].dim))
+    support = frozenset(x.tuple) | {5, 6}
+    keys = frozenset({s_orbit_key(x, support)})
+    u = FsSubset(SMALL_SYMMETRIC, support, keys)
+    assert u == FsSubset.singleton(x)
+    assert u.support == frozenset(x.tuple)
+    assert (u.support, u.keys) == reference.normalize(SMALL_SYMMETRIC, support, keys)

@@ -13,6 +13,8 @@ from nommon.monoid import (
     NominalMonoid,
     check_congruence,
     check_omega_formula,
+    closed_orbit_indices,
+    coimage,
     congruence_generated,
     enumerate_monoid_maps,
     enumerate_small_monoids,
@@ -245,6 +247,19 @@ def test_submonoid_p1_generated_by_atom():
     m = builder("first_proj")
     sub = submonoid_generated(m, [Element(m.carrier, 1, [0])])
     assert sub.orbit_indices == (0, 1)
+
+
+@pytest.mark.parametrize("name", ["l0", "first-a", "l2-any"])
+def test_restrict_generator_map_onto_generated_submonoid(name):
+    from nommon.language import catalog_language
+
+    g = catalog_language(name).genmap
+    g2, incl = coimage(g)
+    letters = orbit_reps(g.sigma)
+    for x in letters:
+        assert incl(g2(x)) == g(x)
+    closed = closed_orbit_indices(g.monoid, {g(x).orbit for x in letters})
+    assert len(g2.monoid.carrier.orbits) == len(closed)
 
 
 def test_image_factorization_identity():
