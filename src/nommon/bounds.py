@@ -59,7 +59,9 @@ def _pairing_image(m1, m2, gen_pairs, budget):
     Built without ever constructing the full product monoid: pair
     orbits are closed under componentwise multiplication first (the
     closure stays small even when the full product would not), and
-    only the reachable orbits get a monoid structure.
+    only the reachable orbits get a monoid structure. The orbit of a
+    product u v depends only on the Perm_{supp u}-orbit of v, so v runs
+    over one tuple per such orbit (``orbit_tuples``, one tick each).
 
     Returns (monoid, pairs, embed, restrict) with embed/restrict the
     element-level coercions between the image carrier and X x Y.
@@ -68,7 +70,7 @@ def _pairing_image(m1, m2, gen_pairs, budget):
     from nommon.sets import (
         Element,
         OrbitFiniteSet,
-        injective_tuples,
+        orbit_tuples,
         product_set,
     )
 
@@ -88,7 +90,7 @@ def _pairing_image(m1, m2, gen_pairs, budget):
             di = pairs.set.orbits[i].dim
             dj = pairs.set.orbits[j].dim
             u = Element(pairs.set, i, range(di))
-            for t in injective_tuples(range(di + dj), dj):
+            for t in orbit_tuples(range(di), range(di, di + dj), dj):
                 budget.tick()
                 w = mult_pair(u, Element(pairs.set, j, t))
                 if w.orbit not in reachable:
@@ -349,7 +351,7 @@ def enumerate_s_bounded(sigma, m, s, budget=None):
 def factor_through(h0, e, s, budget=None):
     """Some s-bounded h' with e . h' = h0, or None after exhaustion."""
     budget = ensure_budget(budget)
-    if e.cod is not h0.monoid and e.cod.carrier != h0.monoid.carrier:
+    if e.cod != h0.monoid:
         raise InvalidInput("factorization target mismatch")
     letters = orbit_reps(h0.sigma)
     for cand in enumerate_s_bounded(h0.sigma, e.dom, s, budget=budget):

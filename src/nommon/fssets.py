@@ -23,12 +23,12 @@ class FsSubset:
 
     __slots__ = ("carrier", "support", "keys", "_hash")
 
-    def __init__(self, carrier, support, keys, *, _normalized=False):
+    def __init__(self, carrier, support, keys, *, budget=None, _normalized=False):
         self.carrier = carrier
         self.support = frozenset(support)
         self.keys = frozenset(keys)
         if not _normalized:
-            norm = _normalize(carrier, self.support, self.keys)
+            norm = _normalize(carrier, self.support, self.keys, budget)
             self.support, self.keys = norm
         self._hash = hash((self.carrier, self.support, self.keys))
 
@@ -47,7 +47,7 @@ class FsSubset:
         for r in s_orbit_reps(carrier, support, budget=budget):
             if pred(r):
                 keys.add(s_orbit_key(r, support))
-        return FsSubset(carrier, support, keys)
+        return FsSubset(carrier, support, keys, budget=budget)
 
     @staticmethod
     def empty(carrier):
@@ -90,17 +90,17 @@ def member(subset, x):
     return s_orbit_key(x, subset.support) in subset.keys
 
 
-def _expand_keys(carrier, support, keys, larger):
+def _expand_keys(carrier, support, keys, larger, budget=None):
     """Re-express a subset S-supported as a key set over larger S' >= S."""
     out = set()
     tmp = FsSubset(carrier, support, keys, _normalized=True)
-    for r in s_orbit_reps(carrier, larger):
+    for r in s_orbit_reps(carrier, larger, budget=budget):
         if member(tmp, r):
             out.add(s_orbit_key(r, larger))
     return out
 
 
-def _normalize(carrier, support, keys):
+def _normalize(carrier, support, keys, budget=None):
     """Shrink the support to the least one fixing the subset.
 
     For b outside S, the subset is (S \\ {a})-supported iff the
@@ -112,7 +112,7 @@ def _normalize(carrier, support, keys):
         return support, keys
     b = next(fresh_stream(support))
     larger = support | {b}
-    expanded = _expand_keys(carrier, support, keys, larger)
+    expanded = _expand_keys(carrier, support, keys, larger, budget)
     reps = [instantiate_s_key(carrier, k, larger) for k in expanded]
     least = frozenset(
         a for a in support
@@ -131,24 +131,31 @@ def least_support_subset(subset):
     return subset.support
 
 
-def fs_boolean(op, u, v=None):
-    """Pointwise boolean structure of the nominal powerset."""
+def fs_boolean(op, u, v=None, budget=None):
+    """Pointwise boolean structure of the nominal powerset.
+
+    The S-orbit enumerations of the operands' expansion and of the
+    result's normalization are charged to ``budget``.
+    """
     if op == "complement":
-        full = {s_orbit_key(r, u.support) for r in s_orbit_reps(u.carrier, u.support)}
-        return FsSubset(u.carrier, u.support, full - u.keys)
+        full = {
+            s_orbit_key(r, u.support)
+            for r in s_orbit_reps(u.carrier, u.support, budget=budget)
+        }
+        return FsSubset(u.carrier, u.support, full - u.keys, budget=budget)
     if v is None:
         raise InvalidInput(f"operation {op} needs two operands")
     if u.carrier != v.carrier:
         raise InvalidInput("carrier mismatch")
     s = u.support | v.support
-    uk = _expand_keys(u.carrier, u.support, u.keys, s)
-    vk = _expand_keys(v.carrier, v.support, v.keys, s)
+    uk = _expand_keys(u.carrier, u.support, u.keys, s, budget)
+    vk = _expand_keys(v.carrier, v.support, v.keys, s, budget)
     if op == "union":
-        return FsSubset(u.carrier, s, uk | vk)
+        return FsSubset(u.carrier, s, uk | vk, budget=budget)
     if op == "intersect":
-        return FsSubset(u.carrier, s, uk & vk)
+        return FsSubset(u.carrier, s, uk & vk, budget=budget)
     if op == "difference":
-        return FsSubset(u.carrier, s, uk - vk)
+        return FsSubset(u.carrier, s, uk - vk, budget=budget)
     raise InvalidInput(f"unknown boolean operation {op!r}")
 
 
@@ -167,7 +174,7 @@ def hull(support, u, budget=None):
     for c in s_orbit_reps(u.carrier, s, budget=budget):
         if _s_orbit_meets(c, s, u, budget):
             keys.add(s_orbit_key(c, s))
-    return FsSubset(u.carrier, s, keys)
+    return FsSubset(u.carrier, s, keys, budget=budget)
 
 
 def _s_orbit_meets(c, s, u, budget):

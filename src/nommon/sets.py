@@ -7,7 +7,7 @@ finite list of such orbits. All values are immutable and operations
 are pure.
 """
 
-from itertools import permutations
+from itertools import islice, permutations
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.kernel import apply_positions, min_coset
@@ -38,13 +38,19 @@ def generate_group(dim, generators, cap=GROUP_CAP):
 
 
 class OrbitDescriptor:
-    """One orbit: dimension plus positional symmetry group."""
+    """One orbit: dimension plus positional symmetry group.
 
-    __slots__ = ("dim", "group", "_hash")
+    ``moves`` holds the group's non-identity permutations, the only ones
+    canonicalization has to try.
+    """
+
+    __slots__ = ("dim", "group", "moves", "_hash")
 
     def __init__(self, dim, generators=(), *, _group=None):
         self.dim = dim
         self.group = _group if _group is not None else generate_group(dim, generators)
+        ident = tuple(range(dim))
+        self.moves = tuple(p for p in self.group if p != ident)
         self._hash = hash((dim, self.group))
 
     def __eq__(self, other):
@@ -105,7 +111,8 @@ class Element:
             raise InvalidInput(f"atoms not pairwise distinct: {atoms}")
         self.set = owner
         self.orbit = orbit_index
-        self.tuple = min_coset(atoms, desc.group)
+        moves = desc.moves
+        self.tuple = min_coset(atoms, moves) if moves else atoms
         self._hash = hash((owner, orbit_index, self.tuple))
 
     def descriptor(self):
@@ -190,6 +197,32 @@ def injective_tuples(pool, n):
     return permutations(pool, n)
 
 
+def orbit_tuples(support, fresh, n):
+    """One injective n-tuple over support + fresh per Perm_S-orbit.
+
+    S is the support and ``fresh`` a sequence of atoms outside it, at
+    least n of them to reach every orbit. Two injective tuples lie in
+    one Perm_S-orbit iff they agree on the positions holding S-atoms;
+    the tuple given for an orbit takes its fresh atoms in order, which
+    makes it the orbit's first tuple in ``injective_tuples(support +
+    fresh, n)``, and the tuples come in that order.
+    """
+    support = tuple(support)
+    fresh = tuple(fresh)
+
+    def extend(prefix, used):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for a in support:
+            if a not in prefix:
+                yield from extend(prefix + (a,), used)
+        if used < len(fresh):
+            yield from extend(prefix + (fresh[used],), used + 1)
+
+    return extend((), 0)
+
+
 def elements_with_support(owner, support, budget=None):
     """All x with supp(x) a subset of the given finite atom set."""
     budget = ensure_budget(budget)
@@ -252,20 +285,22 @@ def instantiate_s_key(owner, key, support):
 
 
 def s_orbit_reps(owner, support, budget=None):
-    """One canonical representative per Perm_S-orbit of the set."""
+    """One canonical representative per Perm_S-orbit of the set.
+
+    Per carrier orbit, ``orbit_tuples`` gives one tuple per Perm_S-orbit
+    of its injective tuples (one tick each); a nontrivial position group
+    can merge several of them into one S-orbit of elements, so keys are
+    still deduplicated. Reps come orbit by orbit, in the order of their
+    first tuple in the sweep over S plus n fresh atoms.
+    """
     budget = ensure_budget(budget)
     s = sorted(set(support))
     reps = []
     seen = set()
     for i, desc in enumerate(owner.orbits):
         n = desc.dim
-        # positions take either a distinct S-atom or a distinct fresh atom
-        fresh = []
-        gen = fresh_stream(s)
-        for _ in range(n):
-            fresh.append(next(gen))
-        pool = s + fresh
-        for t in injective_tuples(pool, n):
+        fresh = islice(fresh_stream(s), n)
+        for t in orbit_tuples(s, fresh, n):
             budget.tick()
             e = Element(owner, i, t)
             key = s_orbit_key(e, s)
@@ -472,7 +507,11 @@ class ProductSet:
 
     Each product orbit stores the factor orbit indices and the
     reference pattern (label tuples of both components), from which the
-    pairing/unpairing maps are derived.
+    pairing/unpairing maps are derived. With x the reference element of
+    a left orbit (atoms 0..m-1), the orbits of pairs (x, y) are the
+    Perm_{0..m-1}-orbits of y, so y runs over ``orbit_tuples`` with the
+    labels m..m+n-1 as fresh atoms (one tick each), and a pattern is
+    kept at its first tuple.
     """
 
     def __init__(self, left, right, budget=None, orbit_cap=ORBIT_CAP):
@@ -488,7 +527,7 @@ class ProductSet:
             x_ref = Element(left, i, range(m))
             for j, yd in enumerate(right.orbits):
                 n = yd.dim
-                for t in injective_tuples(range(m + n), n):
+                for t in orbit_tuples(range(m), range(m, m + n), n):
                     budget.tick()
                     y = Element(right, j, t)
                     key, _ren = pair_pattern(x_ref, y)
@@ -515,17 +554,31 @@ class ProductSet:
         )
 
     def _stabilizer(self, x_orbit, x_labels, y_orbit, y_labels, d):
-        xg = self.left.orbits[x_orbit].group
+        """The relabelings sigma of {0..d-1} that keep both label tuples
+        in their cosets.
+
+        sigma keeps the x labels in their coset iff sigma[x_labels[i]] =
+        x_labels[g[i]] for some g in G_x, and likewise for y with h in
+        G_y. Every label is an x or a y label, so each (g, h) that
+        agrees on the shared labels gives one sigma, and distinct pairs
+        give distinct ones.
+        """
         yg = self.right.orbits[y_orbit].group
-        x_min = min_coset(x_labels, xg)
-        y_min = min_coset(y_labels, yg)
         stab = []
-        for sigma in permutations(range(d)):
-            if (
-                min_coset(tuple(sigma[a] for a in x_labels), xg) == x_min
-                and min_coset(tuple(sigma[a] for a in y_labels), yg) == y_min
-            ):
-                stab.append(sigma)
+        for g in self.left.orbits[x_orbit].group:
+            x_part = [None] * d
+            for a, p in zip(x_labels, g):
+                x_part[a] = x_labels[p]
+            for h in yg:
+                sigma = x_part[:]
+                for a, p in zip(y_labels, h):
+                    b = y_labels[p]
+                    if sigma[a] is None:
+                        sigma[a] = b
+                    elif sigma[a] != b:
+                        break
+                else:
+                    stab.append(tuple(sigma))
         if len(stab) > GROUP_CAP:
             raise CapExceeded("stabilizer exceeds group cap")
         return tuple(sorted(stab))

@@ -1,23 +1,33 @@
 """Brute-force reference implementations, kept as test oracles.
 
 The library finds pair patterns by first-occurrence relabeling, the
-syntactic congruence by partition refinement and the least support of
-a subset in one transposition pass. These are the direct definitions
-those replaced; the differential tests check the fast paths against
-them.
+syntactic congruence by partition refinement, the least support of a
+subset in one transposition pass, S-orbits and product orbits by
+enumerating one tuple per orbit, product stabilizers from G_x x G_y,
+and checks associativity on S-orbit representatives. These are the
+direct definitions those replaced; the differential tests check the
+fast paths against them.
 """
 
 from itertools import permutations
 
+from nommon.errors import CapExceeded, ensure_budget
 from nommon.fssets import FsSubset, _expand_keys, member
 from nommon.kernel import min_coset
+from nommon.monoid import MonoidReport
 from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
+    GROUP_CAP,
+    ORBIT_CAP,
+    Element,
     act,
+    check_map_well_defined,
     elements_with_support,
+    injective_tuples,
     instantiate_s_key,
+    orbit_reps,
+    pair_pattern as fast_pair_pattern,
     s_orbit_key,
-    s_orbit_reps,
 )
 
 
@@ -109,3 +119,115 @@ def normalize(carrier, support, keys):
                 changed = True
                 break
     return frozenset(support), frozenset(keys)
+
+
+def s_orbit_reps(owner, support, budget=None):
+    """One canonical representative per Perm_S-orbit of the set, by
+    sweeping every injective tuple over S plus n fresh atoms."""
+    budget = ensure_budget(budget)
+    s = sorted(set(support))
+    reps = []
+    seen = set()
+    for i, desc in enumerate(owner.orbits):
+        n = desc.dim
+        # positions take either a distinct S-atom or a distinct fresh atom
+        fresh = []
+        gen = fresh_stream(s)
+        for _ in range(n):
+            fresh.append(next(gen))
+        pool = s + fresh
+        for t in injective_tuples(pool, n):
+            budget.tick()
+            e = Element(owner, i, t)
+            key = s_orbit_key(e, s)
+            if key not in seen:
+                seen.add(key)
+                reps.append(instantiate_s_key(owner, key, s))
+    return reps
+
+
+def product_orbits(left, right, budget=None, orbit_cap=ORBIT_CAP):
+    """(patterns, factors, groups) of the orbits of X x Y, by sweeping
+    every injective y tuple over the x reference's atoms plus n fresh
+    labels and keeping the first tuple of each pair pattern."""
+    budget = ensure_budget(budget)
+    key_to_orbit = {}
+    groups = []
+    patterns = []
+    factors = []
+    for i, xd in enumerate(left.orbits):
+        m = xd.dim
+        x_ref = Element(left, i, range(m))
+        for j, yd in enumerate(right.orbits):
+            n = yd.dim
+            for t in injective_tuples(range(m + n), n):
+                budget.tick()
+                y = Element(right, j, t)
+                key, _ren = fast_pair_pattern(x_ref, y)
+                if key in key_to_orbit:
+                    continue
+                if len(groups) >= orbit_cap:
+                    raise CapExceeded(f"orbit cap {orbit_cap} exceeded in product")
+                x_orbit, x_labels, y_orbit, y_labels = key
+                d = len(set(x_labels) | set(y_labels))
+                stab = stabilizer(left, right, x_orbit, x_labels, y_orbit, y_labels, d)
+                key_to_orbit[key] = len(groups)
+                groups.append(stab)
+                patterns.append(key)
+                factors.append((i, j))
+    return tuple(patterns), tuple(factors), tuple(groups)
+
+
+def stabilizer(left, right, x_orbit, x_labels, y_orbit, y_labels, d):
+    """The relabelings of {0..d-1} that keep both label tuples in their
+    cosets, found by trying all d! of them."""
+    xg = left.orbits[x_orbit].group
+    yg = right.orbits[y_orbit].group
+    x_min = min_coset(x_labels, xg)
+    y_min = min_coset(y_labels, yg)
+    stab = []
+    for sigma in permutations(range(d)):
+        if (
+            min_coset(tuple(sigma[a] for a in x_labels), xg) == x_min
+            and min_coset(tuple(sigma[a] for a in y_labels), yg) == y_min
+        ):
+            stab.append(sigma)
+    if len(stab) > GROUP_CAP:
+        raise CapExceeded("stabilizer exceeds group cap")
+    return tuple(sorted(stab))
+
+
+def validate_monoid(m, budget=None):
+    """The monoid axioms with associativity checked on every triple of
+    concrete elements: x over orbit reps, y over elements supported by
+    atoms(x) plus k fresh, z over atoms(x, y) plus k fresh."""
+    budget = ensure_budget(budget)
+    failures = []
+    if m.unit.tuple != ():
+        failures.append(("unit-support", m.unit))
+    wd = check_map_well_defined(m.mult)
+    for orbit, gen in wd.failures:
+        failures.append(("mult-ill-defined", (orbit, gen)))
+    k = m.carrier.bound
+    reps = orbit_reps(m.carrier)
+    for x in reps:
+        budget.tick()
+        if m.multiply(m.unit, x) != x:
+            failures.append(("left-unit", x))
+        if m.multiply(x, m.unit) != x:
+            failures.append(("right-unit", x))
+    for x in reps:
+        pool_y = sorted(x.tuple)
+        gen_y = fresh_stream(pool_y)
+        pool_y = pool_y + [next(gen_y) for _ in range(k)]
+        for y in elements_with_support(m.carrier, pool_y, budget=budget):
+            pool_z = sorted(set(x.tuple) | set(y.tuple))
+            gen_z = fresh_stream(pool_z)
+            pool_z = pool_z + [next(gen_z) for _ in range(k)]
+            for z in elements_with_support(m.carrier, pool_z, budget=budget):
+                budget.tick()
+                lhs = m.multiply(m.multiply(x, y), z)
+                rhs = m.multiply(x, m.multiply(y, z))
+                if lhs != rhs:
+                    failures.append(("associativity", (x, y, z, lhs, rhs)))
+    return MonoidReport(failures)

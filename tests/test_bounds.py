@@ -270,3 +270,12 @@ def test_factor_through_no_s_quot_fails():
     h0 = letters_map("zero_adjoined")
     e = catalog_quotient("no-s-quot")
     assert factor_through(h0, e, first_letter_bound()) is None
+
+
+def test_factor_through_rejects_an_unequal_target_monoid():
+    # same carrier as first_proj, different multiplication
+    h0 = letters_map("first_proj")
+    e = identity_morphism(builder("last_proj"))
+    assert e.cod.carrier == h0.monoid.carrier
+    with pytest.raises(InvalidInput):
+        factor_through(h0, e, first_letter_bound())

@@ -6,15 +6,28 @@ from hypothesis import strategies as st
 
 import reference
 from nommon.catalog import builder, catalog_names
+from nommon.errors import Budget
 from nommon.fssets import FsSubset, _expand_keys, _normalize, preimage_subset
 from nommon.kernel import min_coset
 from nommon.language import catalog_language, syntactic_classes
-from nommon.monoid import coimage, monoid_from_concrete
+from nommon.monoid import (
+    NominalMonoid,
+    coimage,
+    monoid_from_concrete,
+    product_monoid,
+    validate_monoid,
+)
 from nommon.sets import (
+    Assignment,
+    EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    elements_with_support,
+    injective_tuples,
     orbit_reps,
+    orbit_tuples,
     pair_pattern,
+    product_set,
     s_orbit_key,
     s_orbit_reps,
     strong_set,
@@ -202,3 +215,112 @@ def test_normalize_shrinks_singleton_to_its_support(orbit):
     assert u == FsSubset.singleton(x)
     assert u.support == frozenset(x.tuple)
     assert (u.support, u.keys) == reference.normalize(SMALL_SYMMETRIC, support, keys)
+
+
+# --- orbit enumeration ----------------------------------------------------
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.data())
+def test_element_tuple_is_least_over_the_whole_group(data):
+    # Element canonicalizes over the non-identity permutations only
+    i = data.draw(st.sampled_from(range(len(SYMMETRIC.orbits))))
+    group = SYMMETRIC.orbits[i].group
+    raw = tuple(data.draw(st.permutations(range(6)))[: len(group[0])])
+    least = min(tuple(raw[q] for q in p) for p in group)
+    assert SYMMETRIC.element(i, raw).tuple == least
+
+
+@pytest.mark.parametrize(
+    "support, fresh, n",
+    [((), (0, 1, 2), 3), ((0, 2), (1, 3), 2), ((4, 1, 5), (0, 2, 3), 3),
+     ((0, 1, 2), (3, 4, 5, 6), 4), ((0, 1, 2), (3,), 2)],
+)
+def test_orbit_tuples_are_the_first_tuple_of_each_orbit(support, fresh, n):
+    # Perm_S keeps exactly the S-atoms of a tuple and where they sit
+    firsts = {}
+    for t in injective_tuples(support + fresh, n):
+        firsts.setdefault(tuple(a if a in support else None for a in t), t)
+    assert list(orbit_tuples(support, fresh, n)) == list(firsts.values())
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.sampled_from(CARRIERS), st.sets(st.integers(0, 6), max_size=3))
+def test_s_orbit_reps_match_the_tuple_sweep(carrier, support):
+    # elements compare by orbit and canonical tuple
+    fast, slow = Budget(), Budget()
+    reps = s_orbit_reps(carrier, support, budget=fast)
+    assert reps == reference.s_orbit_reps(carrier, support, budget=slow)
+    assert fast.used <= slow.used
+
+
+def test_product_orbits_match_the_tuple_sweep_on_every_carrier_pair():
+    for left in CARRIERS:
+        for right in CARRIERS:
+            prod = product_set(left, right)
+            groups = tuple(o.group for o in prod.set.orbits)
+            assert (prod.patterns, prod.factors, groups) == reference.product_orbits(
+                left, right
+            )
+
+
+LOW_BOUND = [n for n in catalog_names() if builder(n).carrier.bound <= 1]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_validate_matches_all_triples_on_the_catalog(name):
+    assert validate_monoid(builder(name)).ok == reference.validate_monoid(builder(name)).ok
+
+
+@pytest.mark.parametrize("left", LOW_BOUND)
+def test_validate_matches_all_triples_on_bound_one_products(left):
+    for right in LOW_BOUND:
+        m = product_monoid(builder(left), builder(right)).monoid
+        assert validate_monoid(m).ok == reference.validate_monoid(m).ok
+
+
+def redirect(m, p, z):
+    """m with the reference pair of product orbit p sent to z instead."""
+    ref = m.product.set.element(p, range(m.product.set.orbits[p].dim))
+    pos_of = {a: q for q, a in enumerate(ref.tuple)}
+    table = list(m.mult.assignment)
+    table[p] = Assignment(z.orbit, tuple(pos_of[a] for a in z.tuple))
+    mult = EquivariantMap(m.product.set, m.carrier, table)
+    return NominalMonoid(m.carrier, m.unit, mult, m.product)
+
+
+@st.composite
+def redirected_tables(draw):
+    """A catalog monoid with one product orbit sent to another element
+    supported by the orbit's atoms (possibly its own product)."""
+    m = builder(draw(st.sampled_from(catalog_names())))
+    p = draw(st.sampled_from(range(len(m.product.set.orbits))))
+    atoms = range(m.product.set.orbits[p].dim)
+    z = draw(st.sampled_from(elements_with_support(m.carrier, atoms)))
+    return redirect(m, p, z)
+
+
+@settings(max_examples=100, **DETERMINISTIC)
+@given(redirected_tables())
+def test_validate_matches_all_triples_on_corrupted_tables(m):
+    assert validate_monoid(m).ok == reference.validate_monoid(m).ok
+
+
+def test_validate_catches_unit_row_and_associativity_corruption():
+    m = builder("zero_adjoined")  # orbits: unit, letters, zero
+    factors = m.product.factors
+    unit_row = factors.index((0, 1))
+    bad = redirect(m, unit_row, m.carrier.element(2, ()))
+    fast, slow = validate_monoid(bad), reference.validate_monoid(bad)
+    assert not fast.ok and not slow.ok
+    assert fast.failures[0] == slow.failures[0] == ("left-unit", bad.carrier.element(1, (0,)))
+    # a.b for distinct letters sent to a instead of 0: the table of
+    # acceptance criterion 1, with the same first witness
+    distinct = next(
+        p for p, f in enumerate(factors)
+        if f == (1, 1) and m.product.set.orbits[p].dim == 2
+    )
+    bad = redirect(m, distinct, m.carrier.element(1, (0,)))
+    fast, slow = validate_monoid(bad), reference.validate_monoid(bad)
+    assert fast.failures[0][0] == "associativity"
+    assert fast.failures[0] == slow.failures[0]

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from nommon.errors import InvalidInput
+from nommon.errors import Budget, BudgetExhausted, InvalidInput
 from nommon.perm import Perm
-from nommon.sets import Element, act, atoms_set, strong_set
+from nommon.sets import Element, act, atoms_set, s_orbit_reps, strong_set
 from nommon.fssets import (
     FsSubset,
+    _expand_keys,
+    _s_orbit_meets,
     apply_perm_subset,
     fs_boolean,
     hull,
@@ -141,3 +143,38 @@ def test_powerset_atoms_are_singletons():
     for x, u in bij:
         assert u == FsSubset.singleton(x)
         assert member(u, x)
+
+
+def test_fs_boolean_charges_the_callers_budget():
+    # a union over a 5-atom support expands both operands to S-orbits
+    # over all five atoms and normalizes the result
+    a3 = strong_set([3])
+    u = FsSubset.singleton(Element(a3, 0, [0, 1, 2]))
+    v = FsSubset.singleton(Element(a3, 0, [3, 4, 0]))
+    with pytest.raises(BudgetExhausted):
+        fs_boolean("union", u, v, budget=Budget(limit=50))
+    budget = Budget()
+    w = fs_boolean("union", u, v, budget=budget)
+    assert w.support == frozenset(range(5))
+    assert w == fs_boolean("union", u, v)
+    # the normalization of the result is charged on top of the expansions
+    expansions = Budget()
+    for x in (u, v):
+        _expand_keys(a3, x.support, x.keys, w.support, expansions)
+    assert 0 < expansions.used < budget.used
+
+
+def test_hull_charges_its_normalization():
+    # hull ticks = its S-orbit sweep and meet tests + the result's normalization
+    u = FsSubset.singleton(Element(A2, 0, [0, 1]))
+    s = frozenset({0})
+    parts = Budget()
+    for c in s_orbit_reps(A2, s, budget=parts):
+        _s_orbit_meets(c, s, u, parts)
+    whole = Budget()
+    h = hull(s, u, budget=whole)
+    assert h.support == s
+    norm = Budget()
+    assert FsSubset(A2, s, h.keys, budget=norm) == h
+    assert norm.used > 0
+    assert whole.used == parts.used + norm.used

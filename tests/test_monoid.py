@@ -15,6 +15,7 @@ from nommon.monoid import (
     check_omega_formula,
     closed_orbit_indices,
     coimage,
+    compose_morphisms,
     congruence_generated,
     enumerate_monoid_maps,
     enumerate_small_monoids,
@@ -222,6 +223,22 @@ def test_monoids_and_morphisms_compare_by_value():
     assert identity_morphism(a) == identity_morphism(b)
     assert hash(identity_morphism(a)) == hash(identity_morphism(b))
     assert letters_map("first_proj", a) == letters_map("first_proj", b)
+
+
+def test_morphisms_compose_and_pair_only_on_equal_monoids():
+    # first_proj and last_proj share their carrier, not their multiplication:
+    # a carrier check let these through, and validate_morphism rejected the
+    # composite
+    p1 = identity_morphism(builder("first_proj"))
+    p2 = identity_morphism(builder("last_proj"))
+    assert p1.dom.carrier == p2.dom.carrier
+    with pytest.raises(InvalidInput):
+        compose_morphisms(p1, p2)
+    with pytest.raises(InvalidInput):
+        pair_morphisms(p1, p2)
+    # equal monoids held by different objects still compose
+    composed = compose_morphisms(identity_morphism(builder("first_proj")), p1)
+    assert validate_morphism(composed).ok
 
 
 # --- submonoids and images ------------------------------------------------
