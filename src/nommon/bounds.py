@@ -16,6 +16,7 @@ from nommon.monoid import (
     closed_orbit_indices,
     enumerate_monoid_maps,
     product_monoid,
+    restrict_to_orbits,
     submonoid_generated,
     validate_morphism,
 )
@@ -66,13 +67,7 @@ def _pairing_image(m1, m2, gen_pairs, budget):
     Returns (monoid, pairs, embed, restrict) with embed/restrict the
     element-level coercions between the image carrier and X x Y.
     """
-    from nommon.monoid import monoid_from_concrete
-    from nommon.sets import (
-        Element,
-        OrbitFiniteSet,
-        orbit_tuples,
-        product_set,
-    )
+    from nommon.sets import Element, orbit_tuples, product_set
 
     pairs = product_set(m1.carrier, m2.carrier, budget=budget)
 
@@ -96,20 +91,8 @@ def _pairing_image(m1, m2, gen_pairs, budget):
                 if w.orbit not in reachable:
                     reachable.add(w.orbit)
                     changed = True
-    selected = sorted(reachable)
-    sub_set = OrbitFiniteSet([pairs.set.orbits[i] for i in selected])
-    to_full = dict(enumerate(selected))
-    to_sub = {f: s for s, f in enumerate(selected)}
-
-    def embed(x):
-        return Element(pairs.set, to_full[x.orbit], x.tuple)
-
-    def restrict(y):
-        return Element(sub_set, to_sub[y.orbit], y.tuple)
-
-    unit = restrict(pairs.pair(m1.unit, m2.unit))
-    mon = monoid_from_concrete(
-        sub_set, unit, lambda x, y: restrict(mult_pair(embed(x), embed(y)))
+    mon, embed, restrict = restrict_to_orbits(
+        pairs.set, reachable, pairs.pair(m1.unit, m2.unit), mult_pair
     )
     return mon, pairs, embed, restrict
 
@@ -329,7 +312,6 @@ def recheck_msr_certificate(e, certificate):
 def eq_msr_predicate(m):
     """supp(xy) empty only for pairs of empty support, on orbit reps."""
     for e in orbit_reps(m.product.set):
-        x, y = m.product.unpair(e)
         if m.mult(e).tuple == () and e.tuple != ():
             return False
     return True

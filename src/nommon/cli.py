@@ -388,8 +388,6 @@ def cmd_demo_paper(args, report, budget):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=2_000_000)
-    common.add_argument("--max-orbits", type=int, default=2)
-    common.add_argument("--max-dim", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--format", choices=("text", "json-report"), default="text"
@@ -439,6 +437,8 @@ def _build_parser():
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--scope", choices=("catalog", "exhaustive"), default="exhaustive")
+    p.add_argument("--max-orbits", type=int, default=2)
+    p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--bound", default="first-letter")
     p = add("stage", cmd_stage)
     p.add_argument("languages", nargs="+")

@@ -1,7 +1,7 @@
-"""Canonicalization kernel: the two tuple routines every orbit
-computation reduces to. Elements store the least tuple of their coset
-under the orbit's position group (``min_coset``); position groups and
-S-orbit keys permute tuples by position (``apply_positions``).
+"""Canonicalization kernel: the two tuple routines on position groups.
+Elements store the least tuple of their coset under the orbit's position
+group, and posmaps are checked against the target coset (``min_coset``);
+group closure permutes tuples by position (``apply_positions``).
 """
 
 # There is no compiled kernel; the flag stays because perfbench/ prints it.

@@ -23,9 +23,10 @@ from nommon.sets import (
     OrbitFiniteSet,
     act,
     check_map_well_defined,
+    coset_breakers,
     elements_with_support,
     map_from_concrete,
-    min_coset,
+    min_coset,  # unused here; the tests in perfbench/ read this binding
     orbit_reps,
     product_set,
     s_orbit_reps,
@@ -377,21 +378,14 @@ class GeneratorMap:
 
 
 def _orbit_assignment_choices(sigma, carrier, orbit_index, budget):
-    """All per-orbit assignments compatible with the orbit's group."""
+    """All per-orbit assignments compatible with the orbit's group (the
+    reference letter is 0..d-1, so an image's atom tuple is its posmap)."""
     desc = sigma.orbits[orbit_index]
-    x = Element(sigma, orbit_index, range(desc.dim))
-    pos_of = {a: p for p, a in enumerate(x.tuple)}
-    out = []
-    for target in elements_with_support(carrier, range(desc.dim), budget=budget):
-        posmap = tuple(pos_of[a] for a in target.tuple)
-        tgt_group = carrier.orbits[target.orbit].group
-        base = min_coset(posmap, tgt_group)
-        if all(
-            min_coset(tuple(g[p] for p in posmap), tgt_group) == base
-            for g in desc.group
-        ):
-            out.append(Assignment(target.orbit, posmap))
-    return out
+    return [
+        Assignment(t.orbit, t.tuple)
+        for t in elements_with_support(carrier, range(desc.dim), budget=budget)
+        if not coset_breakers(t.tuple, desc.group, carrier.orbits[t.orbit].group)
+    ]
 
 
 def enumerate_monoid_maps(sigma, m, budget=None):
@@ -448,29 +442,36 @@ def closed_orbit_indices(m, start):
     return frozenset(closed)
 
 
-def submonoid_from_orbits(m, indices):
-    """Materialize a union of orbits (must be mult-closed) as a monoid."""
+def restrict_to_orbits(ambient, indices, unit, multiply):
+    """The monoid on a multiplication-closed union of ambient orbits,
+    under the given unit and multiply; ``ambient`` need not be a monoid's
+    carrier. Returns (monoid, embed, restrict), the element coercions
+    between its carrier and ``ambient``."""
     selected = sorted(indices)
-    if m.unit.orbit not in indices:
-        raise InvalidInput("a submonoid must contain the unit orbit")
-    sub_set = OrbitFiniteSet([m.carrier.orbits[i] for i in selected])
-    to_full = {s: f for s, f in enumerate(selected)}
+    sub_set = OrbitFiniteSet([ambient.orbits[i] for i in selected])
     to_sub = {f: s for s, f in enumerate(selected)}
 
     def embed(x):
-        return Element(m.carrier, to_full[x.orbit], x.tuple)
+        return Element(ambient, selected[x.orbit], x.tuple)
 
     def restrict(y):
         if y.orbit not in to_sub:
             raise InvalidInput("orbit set is not multiplication-closed")
         return Element(sub_set, to_sub[y.orbit], y.tuple)
 
-    unit = restrict(m.unit)
-    sub = monoid_from_concrete(
-        sub_set, unit, lambda x, y: restrict(m.multiply(embed(x), embed(y)))
+    mon = monoid_from_concrete(
+        sub_set, restrict(unit), lambda x, y: restrict(multiply(embed(x), embed(y)))
     )
-    incl = map_from_concrete(sub_set, m.carrier, embed)
-    return SubMonoid(sub, MonoidMorphism(sub, m, incl), selected, restrict)
+    return mon, embed, restrict
+
+
+def submonoid_from_orbits(m, indices):
+    """Materialize a union of orbits (must be mult-closed) as a monoid."""
+    if m.unit.orbit not in indices:
+        raise InvalidInput("a submonoid must contain the unit orbit")
+    sub, embed, restrict = restrict_to_orbits(m.carrier, indices, m.unit, m.multiply)
+    incl = map_from_concrete(sub.carrier, m.carrier, embed)
+    return SubMonoid(sub, MonoidMorphism(sub, m, incl), sorted(indices), restrict)
 
 
 def submonoid_generated(m, gens):
@@ -661,6 +662,22 @@ def quotient(m, cong, budget=None):
             a for a in atoms if not related(x, act(Perm.swap(a, b), x))
         )
 
+    def alignments(src, src_sup, dst, dst_sup):
+        """The sigma in Sym(d) for which a permutation sending src_sup[p]
+        to dst_sup[sigma[p]] maps the class of src to that of dst, one
+        tick per sigma tried."""
+        d = len(dst_sup)
+        avoid = set(dst.tuple) | set(src.tuple)
+        for sigma in itertools.permutations(range(d)):
+            budget.tick()
+            pi = extend_injection(
+                {src_sup[p]: dst_sup[sigma[p]] for p in range(d)},
+                moved_from=src.tuple,
+                avoid=avoid,
+            )
+            if related(act(pi, src), dst):
+                yield sigma
+
     # entries: one per quotient orbit, (m_orbit, rep, support tuple)
     entries = []
     descriptors = []
@@ -669,47 +686,29 @@ def quotient(m, cong, budget=None):
         budget.tick()
         rep = Element(carrier, i, range(desc.dim))
         sup = class_support(rep)
-        d = len(sup)
-        match = None
-        for q, (_, qrep, qsup) in enumerate(entries):
-            if len(qsup) != d:
-                continue
-            for sigma in itertools.permutations(range(d)):
-                budget.tick()
-                pi = extend_injection(
-                    {qsup[p]: sup[sigma[p]] for p in range(d)},
-                    moved_from=qrep.tuple,
-                    avoid=set(rep.tuple) | set(qrep.tuple),
-                )
-                if related(act(pi, qrep), rep):
-                    match = (q, sigma)
-                    break
-            if match:
-                break
+        match = next(
+            (
+                (q, sigma)
+                for q, (_, qrep, qsup) in enumerate(entries)
+                if len(qsup) == len(sup)
+                for sigma in alignments(qrep, qsup, rep, sup)
+            ),
+            None,
+        )
         pos_of = {a: p for p, a in enumerate(rep.tuple)}
         if match is None:
-            stab = []
-            for sigma in itertools.permutations(range(d)):
-                budget.tick()
-                pi = extend_injection(
-                    {sup[p]: sup[sigma[p]] for p in range(d)},
-                    moved_from=rep.tuple,
-                    avoid=set(rep.tuple),
-                )
-                if related(act(pi, rep), rep):
-                    stab.append(sigma)
+            stab = list(alignments(rep, sup, rep, sup))
             if len(stab) > GROUP_CAP:
                 raise CapExceeded("quotient orbit group exceeds the cap")
             entries.append((i, rep, sup))
-            descriptors.append(OrbitDescriptor(d, _group=tuple(sorted(stab))))
+            descriptors.append(OrbitDescriptor(len(sup), _group=tuple(sorted(stab))))
             assignment.append(
                 Assignment(len(descriptors) - 1, tuple(pos_of[a] for a in sup))
             )
         else:
             q, sigma = match
-            _, _, qsup = entries[q]
             assignment.append(
-                Assignment(q, tuple(pos_of[sup[sigma[p]]] for p in range(len(qsup))))
+                Assignment(q, tuple(pos_of[sup[sigma[p]]] for p in range(len(sup))))
             )
 
     q_set = OrbitFiniteSet(descriptors)
@@ -768,11 +767,7 @@ def find_isomorphism(m, n, budget=None):
             ok = []
             for sigma in itertools.permutations(range(d)):
                 budget.tick()
-                base = min_coset(sigma, tgt_group)
-                if all(
-                    min_coset(tuple(g[p] for p in sigma), tgt_group) == base
-                    for g in mo[i].group
-                ):
+                if not coset_breakers(sigma, mo[i].group, tgt_group):
                     ok.append(sigma)
             posmap_choices.append(ok)
         for combo in itertools.product(*posmap_choices):

@@ -7,6 +7,7 @@ finite list of such orbits. All values are immutable and operations
 are pure.
 """
 
+from functools import lru_cache
 from itertools import islice, permutations
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
@@ -241,47 +242,66 @@ def elements_with_support(owner, support, budget=None):
     return seen
 
 
+def first_occurrence_labels(t, perms, fixed):
+    """Least labeling of the tuple t over its readings.
+
+    For each reading p in perms (the tuple t[p[0]], t[p[1]], ...), atoms
+    in ``fixed`` (atom -> label in 0..len(fixed)-1) keep their label and
+    every other atom takes the next free label at its first occurrence.
+    Returns the least label tuple and the relabeling (atom -> label) of
+    the first reading that attains it.
+    """
+    best = best_ren = None
+    for p in perms:
+        ren = fixed.copy()
+        labels = []
+        for i in p:
+            a = t[i]
+            label = ren.get(a)
+            if label is None:
+                label = ren[a] = len(ren)
+            labels.append(label)
+        cand = tuple(labels)
+        if best is None or cand < best:
+            best = cand
+            best_ren = ren
+    return best, best_ren
+
+
+@lru_cache(maxsize=256)
+def _rank_labels(support):
+    """{i-th least atom of the frozenset support: i}, shared between
+    callers and never mutated. Cached because ``s_orbit_reps`` and
+    ``fssets.member`` key many elements over one support."""
+    return {a: i for i, a in enumerate(sorted(support))}
+
+
 def s_orbit_key(x, support):
     """Canonical invariant of the Perm_S-orbit of x.
 
-    Atoms in S are kept; atoms outside S are renamed by first occurrence,
-    minimizing over the orbit's position group. Two elements have equal
-    keys iff some permutation fixing S maps one to the other.
+    The i-th least atom of S is labeled i; atoms outside S get the next
+    labels by first occurrence, minimizing over the orbit's position
+    group. Two elements have equal keys iff some permutation fixing S
+    maps one to the other.
     """
-    s = frozenset(support)
-    desc = x.descriptor()
-    best = None
-    for p in desc.group:
-        t = apply_positions(x.tuple, p)
-        ren = {}
-        norm = []
-        for a in t:
-            if a in s:
-                norm.append((0, a))
-            else:
-                if a not in ren:
-                    ren[a] = len(ren)
-                norm.append((1, ren[a]))
-        cand = tuple(norm)
-        if best is None or cand < best:
-            best = cand
-    return (x.orbit, best)
+    fixed = _rank_labels(frozenset(support))
+    labels, _ren = first_occurrence_labels(x.tuple, x.descriptor().group, fixed)
+    return (x.orbit, labels)
 
 
 def instantiate_s_key(owner, key, support):
-    """Concrete canonical representative for an S-orbit key."""
-    orbit_index, norm = key
-    fresh = fresh_stream(support)
-    fresh_atoms = {}
-    atoms = []
-    for kind, v in norm:
-        if kind == 0:
-            atoms.append(v)
-        else:
-            if v not in fresh_atoms:
-                fresh_atoms[v] = next(fresh)
-            atoms.append(fresh_atoms[v])
-    return Element(owner, orbit_index, atoms)
+    """Concrete canonical representative for an S-orbit key: label l
+    stands for (the atoms of S in order, then the first fresh atoms)[l]."""
+    orbit_index, labels = key
+    atoms = sorted(support)
+    fresh = fresh_stream(atoms)
+    out = []
+    for label in labels:
+        # labels are first-occurrence ones: a new label is the next free one
+        if label == len(atoms):
+            atoms.append(next(fresh))
+        out.append(atoms[label])
+    return Element(owner, orbit_index, out)
 
 
 def s_orbit_reps(owner, support, budget=None):
@@ -447,19 +467,26 @@ class MapReport:
         return f"MapReport(failures={list(self.failures)})"
 
 
+def coset_breakers(posmap, source_group, target_group):
+    """The g in the source group that move the posmap out of its coset
+    under the target group: no h in it gives g . posmap = posmap . h."""
+    base = min_coset(posmap, target_group)
+    return [
+        g for g in source_group
+        if min_coset(tuple(g[p] for p in posmap), target_group) != base
+    ]
+
+
 def check_map_well_defined(f):
     """A map is well defined iff every source-group element keeps the
     assigned target tuple in its target coset."""
-    failures = []
-    for src_idx, a in enumerate(f.assignment):
-        src_desc = f.source.orbits[src_idx]
-        tgt_group = f.target.orbits[a.orbit].group
-        base = min_coset(a.posmap, tgt_group)
-        for g in src_desc.group:
-            moved = tuple(g[p] for p in a.posmap)
-            if min_coset(moved, tgt_group) != base:
-                failures.append((src_idx, g))
-    return MapReport(failures)
+    return MapReport(
+        (src_idx, g)
+        for src_idx, a in enumerate(f.assignment)
+        for g in coset_breakers(
+            a.posmap, f.source.orbits[src_idx].group, f.target.orbits[a.orbit].group
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +503,20 @@ def pair_pattern(x, y):
     only the relabelings numbering x's atoms in the order x.tuple[g[i]]
     for some g in G_x attain. For such a g and a reading order h in G_y
     of y's tuple, giving each atom not in x the next free label at its
-    first occurrence is the least choice, so the minimum over all
-    (g, h) is the minimum over all d! relabelings.
+    first occurrence is the least choice (``first_occurrence_labels``,
+    once per g), so the minimum over all (g, h) is the minimum over all
+    d! relabelings.
     """
     xt = x.tuple
-    yt = y.tuple
     ygroup = y.descriptor().group
-    best = None
-    best_ren = None
+    best = best_ren = None
     for g in x.descriptor().group:
-        x_ren = {xt[p]: i for i, p in enumerate(g)}
-        for h in ygroup:
-            ren = dict(x_ren)
-            labels = []
-            for p in h:
-                a = yt[p]
-                label = ren.get(a)
-                if label is None:
-                    label = ren[a] = len(ren)
-                labels.append(label)
-            cand = tuple(labels)
-            if best is None or cand < best:
-                best = cand
-                best_ren = ren
+        cand, ren = first_occurrence_labels(
+            y.tuple, ygroup, {xt[p]: i for i, p in enumerate(g)}
+        )
+        if best is None or cand < best:
+            best = cand
+            best_ren = ren
     return (x.orbit, tuple(range(len(xt))), y.orbit, best), best_ren
 
 

@@ -4,16 +4,17 @@ The library finds pair patterns by first-occurrence relabeling, the
 syntactic congruence by partition refinement, the least support of a
 subset in one transposition pass, S-orbits and product orbits by
 enumerating one tuple per orbit, product stabilizers from G_x x G_y,
-and checks associativity on S-orbit representatives. These are the
-direct definitions those replaced; the differential tests check the
-fast paths against them.
+checks associativity on S-orbit representatives, and encodes S-orbit
+keys as integer labels. These are the direct definitions those
+replaced, and the tagged (0, atom) / (1, k) S-orbit keys; the
+differential tests check the fast paths against them.
 """
 
 from itertools import permutations
 
 from nommon.errors import CapExceeded, ensure_budget
 from nommon.fssets import FsSubset, _expand_keys, member
-from nommon.kernel import min_coset
+from nommon.kernel import apply_positions, min_coset
 from nommon.monoid import MonoidReport
 from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
@@ -29,6 +30,49 @@ from nommon.sets import (
     pair_pattern as fast_pair_pattern,
     s_orbit_key,
 )
+
+
+def tagged_s_orbit_key(x, support):
+    """Canonical invariant of the Perm_S-orbit of x.
+
+    Atoms in S are kept; atoms outside S are renamed by first occurrence,
+    minimizing over the orbit's position group. Two elements have equal
+    keys iff some permutation fixing S maps one to the other.
+    """
+    s = frozenset(support)
+    desc = x.descriptor()
+    best = None
+    for p in desc.group:
+        t = apply_positions(x.tuple, p)
+        ren = {}
+        norm = []
+        for a in t:
+            if a in s:
+                norm.append((0, a))
+            else:
+                if a not in ren:
+                    ren[a] = len(ren)
+                norm.append((1, ren[a]))
+        cand = tuple(norm)
+        if best is None or cand < best:
+            best = cand
+    return (x.orbit, best)
+
+
+def instantiate_tagged_key(owner, key, support):
+    """Concrete canonical representative for an S-orbit key."""
+    orbit_index, norm = key
+    fresh = fresh_stream(support)
+    fresh_atoms = {}
+    atoms = []
+    for kind, v in norm:
+        if kind == 0:
+            atoms.append(v)
+        else:
+            if v not in fresh_atoms:
+                fresh_atoms[v] = next(fresh)
+            atoms.append(fresh_atoms[v])
+    return Element(owner, orbit_index, atoms)
 
 
 def joint_atoms(x, y):
@@ -123,7 +167,8 @@ def normalize(carrier, support, keys):
 
 def s_orbit_reps(owner, support, budget=None):
     """One canonical representative per Perm_S-orbit of the set, by
-    sweeping every injective tuple over S plus n fresh atoms."""
+    sweeping every injective tuple over S plus n fresh atoms, with
+    tagged keys."""
     budget = ensure_budget(budget)
     s = sorted(set(support))
     reps = []
@@ -139,10 +184,10 @@ def s_orbit_reps(owner, support, budget=None):
         for t in injective_tuples(pool, n):
             budget.tick()
             e = Element(owner, i, t)
-            key = s_orbit_key(e, s)
+            key = tagged_s_orbit_key(e, s)
             if key not in seen:
                 seen.add(key)
-                reps.append(instantiate_s_key(owner, key, s))
+                reps.append(instantiate_tagged_key(owner, key, s))
     return reps
 
 

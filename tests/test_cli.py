@@ -129,6 +129,18 @@ def test_dist_catalog_scope_labeled(capsys):
     assert "lower bound" in out
 
 
+def test_dist_takes_scope_size(capsys):
+    code, out = run(capsys, "dist", "a b", "b a", "--max-orbits", "1")
+    assert code == 0
+    assert "<= 1 orbits" in out
+
+
+@pytest.mark.parametrize("flag", ["--max-orbits", "--max-dim"])
+def test_scope_size_is_dist_only(capsys, flag):
+    code, _ = run(capsys, "validate", "trivial", flag, "3")
+    assert code == 2
+
+
 def test_stage_roundtrip(capsys):
     code, out = run(capsys, "stage", "first-a", "last-a", "l0")
     assert code == 0

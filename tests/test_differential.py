@@ -1,5 +1,7 @@
 """Fast paths against the brute-force oracles in ``reference``."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +15,23 @@ from nommon.language import catalog_language, syntactic_classes
 from nommon.monoid import (
     NominalMonoid,
     coimage,
+    enumerate_monoid_maps,
+    find_isomorphism,
     monoid_from_concrete,
     product_monoid,
     validate_monoid,
+    validate_morphism,
 )
 from nommon.sets import (
     Assignment,
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    check_map_well_defined,
+    coset_breakers,
     elements_with_support,
     injective_tuples,
+    instantiate_s_key,
     orbit_reps,
     orbit_tuples,
     pair_pattern,
@@ -95,6 +103,27 @@ def test_pair_pattern_all_symmetric_orbit_pairs():
         for j, yd in enumerate(SYMMETRIC.orbits):
             y = SYMMETRIC.element(j, [(a + 1) % 6 for a in range(yd.dim)][::-1])
             check_pair(x, y)
+
+
+# --- S-orbit keys ---------------------------------------------------------
+
+
+@settings(max_examples=500, **DETERMINISTIC)
+@given(st.data())
+def test_s_orbit_keys_match_the_tagged_encoding(data):
+    # integer labels against the (0, atom) / (1, k) keys they replaced
+    carrier = data.draw(st.sampled_from(CARRIERS))
+    support = data.draw(st.sets(st.integers(0, 6), max_size=5))
+    x = data.draw(elements(carrier, range(7)))
+    y = data.draw(elements(carrier, range(7)))
+    new_x, new_y = s_orbit_key(x, support), s_orbit_key(y, support)
+    old_x = reference.tagged_s_orbit_key(x, support)
+    old_y = reference.tagged_s_orbit_key(y, support)
+    assert (new_x == new_y) == (old_x == old_y)
+    assert (new_x < new_y) == (old_x < old_y)
+    assert instantiate_s_key(carrier, new_x, support) == (
+        reference.instantiate_tagged_key(carrier, old_x, support)
+    )
 
 
 def partition(classes):
@@ -324,3 +353,70 @@ def test_validate_catches_unit_row_and_associativity_corruption():
     fast, slow = validate_monoid(bad), reference.validate_monoid(bad)
     assert fast.failures[0][0] == "associativity"
     assert fast.failures[0] == slow.failures[0]
+
+
+# --- coset test of a posmap -----------------------------------------------
+
+
+def test_coset_breakers_match_the_definition_on_every_posmap():
+    # g breaks the posmap iff no h in the target group gives
+    # g . posmap = posmap . h
+    for src, tgt in product(SYMMETRIC.orbits, repeat=2):
+        for posmap in permutations(range(src.dim), tgt.dim):
+            expected = [
+                g for g in src.group
+                if not any(
+                    tuple(g[p] for p in posmap) == tuple(posmap[i] for i in h)
+                    for h in tgt.group
+                )
+            ]
+            assert coset_breakers(posmap, src.group, tgt.group) == expected
+
+
+def null_monoid(orbit):
+    """A unit, a zero and one more orbit, all of whose products are zero."""
+    carrier = OrbitFiniteSet([OrbitDescriptor(0), OrbitDescriptor(0), orbit])
+    unit, zero = carrier.element(0, ()), carrier.element(1, ())
+
+    def mult(x, y):
+        if x == unit:
+            return y
+        return x if y == unit else zero
+
+    return monoid_from_concrete(carrier, unit, mult)
+
+
+def test_generator_maps_from_a_symmetric_alphabet_are_the_well_defined_ones():
+    # letters: atoms and unordered pairs of atoms
+    sigma = OrbitFiniteSet([OrbitDescriptor(1), SYMMETRIC.orbits[3]])
+    # a pair of letters cannot go to one atom or to an ordered pair, so
+    # the group narrows the choices unless the only dim-2 orbit is unordered
+    for m, narrows in (
+        (builder("cutoff2"), True),
+        (builder("pair_zero"), True),
+        (null_monoid(SYMMETRIC.orbits[3]), False),
+    ):
+        choices = [
+            {
+                Assignment(j, min_coset(posmap, tgt.group))
+                for j, tgt in enumerate(m.carrier.orbits)
+                for posmap in permutations(range(src.dim), tgt.dim)
+            }
+            for src in sigma.orbits
+        ]
+        maps = [EquivariantMap(sigma, m.carrier, c) for c in product(*choices)]
+        expected = {f for f in maps if check_map_well_defined(f).ok}
+        found = [gm.h0 for gm in enumerate_monoid_maps(sigma, m)]
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+        assert (len(expected) < len(maps)) == narrows
+
+
+@pytest.mark.parametrize("orbit", SYMMETRIC.orbits[3:])
+def test_find_isomorphism_with_a_position_group(orbit):
+    m = null_monoid(orbit)
+    assert validate_monoid(m).ok
+    iso = find_isomorphism(m, m)
+    assert iso is not None and validate_morphism(iso).ok
+    assert check_map_well_defined(iso.map).ok
+    assert find_isomorphism(m, null_monoid(OrbitDescriptor(orbit.dim))) is None
