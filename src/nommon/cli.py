@@ -2,8 +2,9 @@
 
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 refuted (a witness is in the report), 2 = input error, 3 = work budget
-exhausted. Reports are deterministic for a given document, budget, and
-seed; the seed is always printed.
+exhausted. Reports are deterministic for a given document and budget.
+The ``--seed`` value is echoed in every report, and no computation
+reads it.
 """
 
 import argparse
@@ -388,7 +389,12 @@ def cmd_demo_paper(args, report, budget):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=2_000_000)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="only echoed in the report; no computation reads it",
+    )
     common.add_argument(
         "--format", choices=("text", "json-report"), default="text"
     )

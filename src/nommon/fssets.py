@@ -1,25 +1,47 @@
 """Finitely supported subsets of orbit-finite sets.
 
 An FsSubset is stored relative to an explicit support S as the set of
-canonical Perm_S-orbit representatives it contains; the denoted subset
-is the union of their S-orbits. Construction normalizes S down to the
-least support, so equality of subsets is plain equality of (carrier,
-support, key set).
+keys (``sets.s_orbit_key``) of the Perm_S-orbits it contains; the
+denoted subset is the union of those S-orbits. A key is an orbit index
+and a label tuple: label i < |S| stands for the i-th least atom of S,
+and the labels from |S| on for fresh atoms, by first occurrence.
+Construction normalizes S down to the least support, so equality of
+subsets is plain equality of (carrier, support, key set).
+
+The operations work on label tuples alone and build no elements:
+
+- refine (S to S' >= S): an S-orbit is the union of the S'-orbits in
+  which each fresh label either stays fresh or takes a distinct atom of
+  S' \\ S;
+- coarsen (S to T <= S): the labels of atoms outside T become fresh;
+- swap: a transposition of two atoms of S exchanges their labels;
+- full keys over |S| atoms: one label tuple per ``orbit_tuples`` tuple.
+
+Every relabeled tuple is re-minimized over its orbit's position group
+by ``sets.first_occurrence_labels``. Binary boolean operations refine
+both operands to the union of their supports, and the complement is
+the full key set minus the held keys. Normalization refines once to
+S + {b} for a fresh b, keeps the atoms a whose swap with b moves the
+subset, and coarsens to them. ``hull`` refines to S + supp U and
+coarsens to S. Each key operation ticks the budget once.
 """
 
-from nommon.errors import InvalidInput, ensure_budget
-from nommon.perm import Perm, fresh_stream
+from functools import lru_cache
+
+from nommon.errors import Budget, InvalidInput, ensure_budget
+from nommon.perm import fresh_stream
 from nommon.sets import (
     act,
+    first_occurrence_labels,
     instantiate_s_key,
-    injective_tuples,
+    orbit_tuples,
     s_orbit_key,
     s_orbit_reps,
 )
 
 
 class FsSubset:
-    """Finitely supported subset: support + canonical S-orbit reps."""
+    """Finitely supported subset: support + keys of the held S-orbits."""
 
     __slots__ = ("carrier", "support", "keys", "_hash")
 
@@ -55,7 +77,8 @@ class FsSubset:
 
     @staticmethod
     def full(carrier):
-        return FsSubset.from_elements(carrier, frozenset(), s_orbit_reps(carrier, ()))
+        keys = _full_keys(carrier, 0, Budget())
+        return FsSubset(carrier, frozenset(), keys, _normalized=True)
 
     @staticmethod
     def singleton(x):
@@ -90,14 +113,82 @@ def member(subset, x):
     return s_orbit_key(x, subset.support) in subset.keys
 
 
-def _expand_keys(carrier, support, keys, larger, budget=None):
-    """Re-express a subset S-supported as a key set over larger S' >= S."""
+@lru_cache(maxsize=64)
+def _identity_labels(n):
+    """{i: i for i < n}, shared between callers and never mutated."""
+    return {i: i for i in range(n)}
+
+
+def _minimize(carrier, orbit, t, n):
+    """The key over n support atoms of the tuple t, whose entries below
+    n are support labels and all others distinct fresh atoms."""
+    group = carrier.orbits[orbit].group
+    return (orbit, first_occurrence_labels(t, group, _identity_labels(n))[0])
+
+
+def _fresh_images(m, new, n):
+    """The images of m fresh labels under refinement: each takes a
+    distinct label in ``new`` or stays fresh, as n, n + 1, ... in order."""
+    def extend(prefix, kept):
+        if len(prefix) == m:
+            yield prefix
+            return
+        yield from extend(prefix + (n + kept,), kept + 1)
+        for r in new:
+            if r not in prefix:
+                yield from extend(prefix + (r,), kept)
+
+    return list(extend((), 0))
+
+
+def _refine(carrier, keys, support, larger, budget):
+    """The S'-orbit keys of the union of the S-orbits with the given
+    keys, for S' >= S; one tick per S'-orbit of each S-orbit."""
+    if len(larger) == len(support):
+        return set(keys)
+    big = sorted(larger)
+    rank = {a: i for i, a in enumerate(big)}
+    old = [rank[a] for a in sorted(support)]
+    new = [rank[a] for a in big if a not in support]
+    k, n = len(old), len(big)
+    images = {}
     out = set()
-    tmp = FsSubset(carrier, support, keys, _normalized=True)
-    for r in s_orbit_reps(carrier, larger, budget=budget):
-        if member(tmp, r):
-            out.add(s_orbit_key(r, larger))
+    for orbit, labels in keys:
+        m = sum(1 for l in labels if l >= k)
+        if m not in images:
+            images[m] = _fresh_images(m, new, n)
+        for img in images[m]:
+            budget.tick()
+            t = tuple(old[l] if l < k else img[l - k] for l in labels)
+            out.add(_minimize(carrier, orbit, t, n))
     return out
+
+
+def _coarsen(carrier, keys, support, smaller, budget):
+    """The T-orbit keys of the S-orbits with the given keys, for T <= S;
+    one tick per key."""
+    n = len(support)
+    rank = {a: i for i, a in enumerate(sorted(smaller))}
+    c = len(rank)
+    # the label of the i-th atom of S, and c + l for a fresh label l
+    img = [rank.get(a, c + i) for i, a in enumerate(sorted(support))]
+    out = set()
+    for orbit, labels in keys:
+        budget.tick()
+        t = tuple(img[l] if l < n else c + l for l in labels)
+        out.add(_minimize(carrier, orbit, t, c))
+    return out
+
+
+def _full_keys(carrier, n, budget):
+    """Every key over n support atoms; one tick per ``orbit_tuples`` tuple."""
+    keys = set()
+    for i, desc in enumerate(carrier.orbits):
+        d = desc.dim
+        for t in orbit_tuples(range(n), range(n, n + d), d):
+            budget.tick()
+            keys.add(_minimize(carrier, i, t, n))
+    return keys
 
 
 def _normalize(carrier, support, keys, budget=None):
@@ -105,51 +196,57 @@ def _normalize(carrier, support, keys, budget=None):
 
     For b outside S, the subset is (S \\ {a})-supported iff the
     transposition (a b) fixes it, and the least support is the
-    intersection of all supports. So one expansion to S + {b} decides
-    every atom: the least support is the set of atoms (a b) moves.
+    intersection of all supports. So one refinement to S + {b} decides
+    every atom: the least support is the set of atoms a for which
+    swapping the labels of a and b sends some held key outside the
+    held ones (one tick per key tried).
     """
     if not support:
         return support, keys
+    budget = ensure_budget(budget)
     b = next(fresh_stream(support))
     larger = support | {b}
-    expanded = _expand_keys(carrier, support, keys, larger, budget)
-    reps = [instantiate_s_key(carrier, k, larger) for k in expanded]
-    least = frozenset(
-        a for a in support
-        if any(s_orbit_key(act(Perm.swap(a, b), r), larger) not in expanded
-               for r in reps)
-    )
+    expanded = _refine(carrier, keys, support, larger, budget)
+    rank = {a: i for i, a in enumerate(sorted(larger))}
+    n = len(larger)
+
+    def moved(a):
+        swap = {rank[a]: rank[b], rank[b]: rank[a]}
+        for orbit, labels in expanded:
+            budget.tick()
+            t = tuple(swap.get(l, l) for l in labels)
+            if _minimize(carrier, orbit, t, n) not in expanded:
+                return True
+        return False
+
+    least = frozenset(a for a in support if moved(a))
     if least == support:
         return support, keys
-    # the subset is a union of least-orbits, and each of them contains
-    # the representative of one of its (S + {b})-orbits
-    return least, frozenset(s_orbit_key(r, least) for r in reps)
-
-
-def least_support_subset(subset):
-    """The least support; subsets are stored normalized, so just read it."""
-    return subset.support
+    # the subset is a union of least-orbits, each the coarsening of the
+    # S-orbits inside it
+    return least, frozenset(_coarsen(carrier, keys, support, least, budget))
 
 
 def fs_boolean(op, u, v=None, budget=None):
     """Pointwise boolean structure of the nominal powerset.
 
-    The S-orbit enumerations of the operands' expansion and of the
-    result's normalization are charged to ``budget``.
+    The key operations of the operands' refinement, of the complement's
+    full key set and of the result's normalization are charged to
+    ``budget``.
     """
+    budget = ensure_budget(budget)
     if op == "complement":
-        full = {
-            s_orbit_key(r, u.support)
-            for r in s_orbit_reps(u.carrier, u.support, budget=budget)
-        }
-        return FsSubset(u.carrier, u.support, full - u.keys, budget=budget)
+        # a permutation fixes U iff it fixes its complement, so the
+        # complement's least support is U's
+        full = _full_keys(u.carrier, len(u.support), budget)
+        return FsSubset(u.carrier, u.support, full - u.keys, _normalized=True)
     if v is None:
         raise InvalidInput(f"operation {op} needs two operands")
     if u.carrier != v.carrier:
         raise InvalidInput("carrier mismatch")
     s = u.support | v.support
-    uk = _expand_keys(u.carrier, u.support, u.keys, s, budget)
-    vk = _expand_keys(v.carrier, v.support, v.keys, s, budget)
+    uk = _refine(u.carrier, u.keys, u.support, s, budget)
+    vk = _refine(v.carrier, v.keys, v.support, s, budget)
     if op == "union":
         return FsSubset(u.carrier, s, uk | vk, budget=budget)
     if op == "intersect":
@@ -167,37 +264,18 @@ def apply_perm_subset(pi, u):
 
 
 def hull(support, u, budget=None):
-    """hull_S(U): smallest S-supported superset; the union of Perm_S images."""
+    """hull_S(U): smallest S-supported superset; the union of Perm_S images.
+
+    That is the union of the S-orbits meeting U. U is a union of
+    (S + supp U)-orbits and each lies inside one S-orbit, so the hull's
+    keys are the coarsenings to S of U's keys refined to S + supp U.
+    """
     budget = ensure_budget(budget)
     s = frozenset(support)
-    keys = set()
-    for c in s_orbit_reps(u.carrier, s, budget=budget):
-        if _s_orbit_meets(c, s, u, budget):
-            keys.add(s_orbit_key(c, s))
+    t = s | u.support
+    refined = _refine(u.carrier, u.keys, u.support, t, budget)
+    keys = _coarsen(u.carrier, refined, t, s, budget)
     return FsSubset(u.carrier, s, keys, budget=budget)
-
-
-def _s_orbit_meets(c, s, u, budget):
-    """Does the S-orbit of c intersect U?
-
-    Instantiates the non-S atoms of c over supp(U)\\S plus enough fresh
-    atoms; membership in U only depends on that equality pattern.
-    """
-    free_atoms = [a for a in c.tuple if a not in s]
-    fixed = [a for a in c.tuple if a in s]
-    n_free = len(free_atoms)
-    pool = sorted(set(u.support) - s)
-    gen = fresh_stream(set(u.support) | s | set(c.tuple))
-    pool += [next(gen) for _ in range(n_free)]
-    for target in injective_tuples(pool, n_free):
-        budget.tick()
-        if set(target) & set(fixed):
-            continue
-        ren = dict(zip(free_atoms, target))
-        x = c.set.element(c.orbit, tuple(ren.get(a, a) for a in c.tuple))
-        if member(u, x):
-            return True
-    return False
 
 
 def preimage_subset(f, u, budget=None):

@@ -164,10 +164,6 @@ def atoms_set():
     return strong_set([1])
 
 
-def empty_set():
-    return OrbitFiniteSet([])
-
-
 class Injection:
     """Coproduct injection: shifts orbit indices."""
 

@@ -4,16 +4,18 @@ The library finds pair patterns by first-occurrence relabeling, the
 syntactic congruence by partition refinement, the least support of a
 subset in one transposition pass, S-orbits and product orbits by
 enumerating one tuple per orbit, product stabilizers from G_x x G_y,
-checks associativity on S-orbit representatives, and encodes S-orbit
-keys as integer labels. These are the direct definitions those
-replaced, and the tagged (0, atom) / (1, k) S-orbit keys; the
-differential tests check the fast paths against them.
+checks associativity on S-orbit representatives, encodes S-orbit
+keys as integer labels, and refines, coarsens and complements subsets
+on those labels. These are the direct definitions those replaced,
+among them the sweeps over S-orbit representatives that re-expressed,
+complemented and hulled subsets, and the tagged (0, atom) / (1, k)
+S-orbit keys; the differential tests check the fast paths against them.
 """
 
 from itertools import permutations
 
 from nommon.errors import CapExceeded, ensure_budget
-from nommon.fssets import FsSubset, _expand_keys, member
+from nommon.fssets import FsSubset, member
 from nommon.kernel import apply_positions, min_coset
 from nommon.monoid import MonoidReport
 from nommon.perm import Perm, fresh_stream
@@ -29,6 +31,7 @@ from nommon.sets import (
     orbit_reps,
     pair_pattern as fast_pair_pattern,
     s_orbit_key,
+    s_orbit_reps as fast_s_orbit_reps,
 )
 
 
@@ -134,6 +137,59 @@ def syntactic_classes(m, p, contexts=None):
     for x in elems:
         groups.setdefault(tuple(in_p[i] for i in products[x]), []).append(x)
     return list(groups.values())
+
+
+def _expand_keys(carrier, support, keys, larger, budget=None):
+    """Re-express a subset S-supported as a key set over larger S' >= S."""
+    out = set()
+    tmp = FsSubset(carrier, support, keys, _normalized=True)
+    for r in fast_s_orbit_reps(carrier, larger, budget=budget):
+        if member(tmp, r):
+            out.add(s_orbit_key(r, larger))
+    return out
+
+
+def complement(u, budget=None):
+    """The complement: every S-orbit key not held, normalized."""
+    full = {
+        s_orbit_key(r, u.support)
+        for r in fast_s_orbit_reps(u.carrier, u.support, budget=budget)
+    }
+    return FsSubset(u.carrier, u.support, full - u.keys, budget=budget)
+
+
+def hull(support, u, budget=None):
+    """hull_S(U): smallest S-supported superset; the union of Perm_S images."""
+    budget = ensure_budget(budget)
+    s = frozenset(support)
+    keys = set()
+    for c in fast_s_orbit_reps(u.carrier, s, budget=budget):
+        if _s_orbit_meets(c, s, u, budget):
+            keys.add(s_orbit_key(c, s))
+    return FsSubset(u.carrier, s, keys, budget=budget)
+
+
+def _s_orbit_meets(c, s, u, budget):
+    """Does the S-orbit of c intersect U?
+
+    Instantiates the non-S atoms of c over supp(U)\\S plus enough fresh
+    atoms; membership in U only depends on that equality pattern.
+    """
+    free_atoms = [a for a in c.tuple if a not in s]
+    fixed = [a for a in c.tuple if a in s]
+    n_free = len(free_atoms)
+    pool = sorted(set(u.support) - s)
+    gen = fresh_stream(set(u.support) | s | set(c.tuple))
+    pool += [next(gen) for _ in range(n_free)]
+    for target in injective_tuples(pool, n_free):
+        budget.tick()
+        if set(target) & set(fixed):
+            continue
+        ren = dict(zip(free_atoms, target))
+        x = c.set.element(c.orbit, tuple(ren.get(a, a) for a in c.tuple))
+        if member(u, x):
+            return True
+    return False
 
 
 def normalize(carrier, support, keys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference
 from nommon.catalog import builder, catalog_names
 from nommon.errors import Budget
-from nommon.fssets import FsSubset, _expand_keys, _normalize, preimage_subset
+from nommon.fssets import FsSubset, _normalize, _refine, fs_boolean, hull, preimage_subset
 from nommon.kernel import min_coset
 from nommon.language import catalog_language, syntactic_classes
 from nommon.monoid import (
@@ -204,18 +204,28 @@ SUPPORT_CARRIERS = [SMALL_SYMMETRIC] + [
 ]
 
 
+# the catalog carriers half the time, and otherwise SYMMETRIC or one of
+# its orbits with a nontrivial position group alone, so that its keys
+# make up the whole subset
+GROUPED = [SYMMETRIC] + [
+    OrbitFiniteSet([o]) for o in SYMMETRIC.orbits if len(o.group) > 1
+]
+FS_CARRIERS = st.sampled_from(CARRIERS) | st.sampled_from(GROUPED)
+
+
 @st.composite
-def supported_subsets(draw):
+def supported_subsets(draw, carriers=st.sampled_from(SUPPORT_CARRIERS), atoms=6,
+                      max_support=3):
     """(carrier, S, keys): a random union of T-orbits for some T inside
     S, written over S, so that every atom of S outside T can drop."""
-    carrier = draw(st.sampled_from(SUPPORT_CARRIERS))
-    support = draw(st.sets(st.integers(0, 5), max_size=3))
+    carrier = draw(carriers)
+    support = draw(st.sets(st.integers(0, atoms - 1), max_size=max_support))
     inner = draw(st.sets(st.sampled_from(sorted(support)))) if support else set()
     reps = s_orbit_reps(carrier, inner)
     chosen = draw(st.sets(st.sampled_from(reps))) if reps else set()
     keys = {s_orbit_key(r, inner) for r in chosen}
     return carrier, frozenset(support), frozenset(
-        _expand_keys(carrier, frozenset(inner), keys, frozenset(support))
+        reference._expand_keys(carrier, frozenset(inner), keys, frozenset(support))
     )
 
 
@@ -244,6 +254,48 @@ def test_normalize_shrinks_singleton_to_its_support(orbit):
     assert u == FsSubset.singleton(x)
     assert u.support == frozenset(x.tuple)
     assert (u.support, u.keys) == reference.normalize(SMALL_SYMMETRIC, support, keys)
+
+
+def keyed_subsets():
+    """Subsets with 0-4 support atoms out of 8, on ``FS_CARRIERS``."""
+    return supported_subsets(FS_CARRIERS, atoms=8, max_support=4)
+
+
+def extensions(support):
+    """0-3 atoms out of 8 outside the support."""
+    return st.sets(st.sampled_from([a for a in range(8) if a not in support]), max_size=3)
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.data())
+def test_refine_matches_the_sweep(data):
+    carrier, support, keys = data.draw(keyed_subsets())
+    larger = support | data.draw(extensions(support))
+    assert _refine(carrier, keys, support, larger, Budget()) == (
+        reference._expand_keys(carrier, support, keys, larger)
+    )
+
+
+@settings(max_examples=200, **DETERMINISTIC)
+@given(keyed_subsets())
+def test_complement_matches_the_sweep(case):
+    u = FsSubset(*case)
+    assert fs_boolean("complement", u) == reference.complement(u)
+
+
+@settings(max_examples=200, **DETERMINISTIC)
+@given(keyed_subsets())
+def test_normalize_matches_restart_loop_on_every_carrier(case):
+    assert _normalize(*case) == reference.normalize(*case)
+
+
+@settings(max_examples=200, **DETERMINISTIC)
+@given(st.data())
+def test_hull_matches_the_sweep(data):
+    carrier, support, keys = data.draw(keyed_subsets())
+    u = FsSubset(carrier, support, keys)
+    s = data.draw(st.sets(st.integers(0, 7), max_size=4))
+    assert hull(s, u) == reference.hull(s, u)
 
 
 # --- orbit enumeration ----------------------------------------------------

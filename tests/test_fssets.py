@@ -1,21 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nommon import fssets
 from nommon.errors import Budget, BudgetExhausted, InvalidInput
-from nommon.perm import Perm
-from nommon.sets import Element, act, atoms_set, s_orbit_reps, strong_set
+from nommon.perm import Perm, fresh_stream
+from nommon.sets import (
+    Element,
+    OrbitDescriptor,
+    OrbitFiniteSet,
+    act,
+    atoms_set,
+    elements_with_support,
+    s_orbit_key,
+    s_orbit_reps,
+    strong_set,
+)
 from nommon.fssets import (
     FsSubset,
-    _expand_keys,
-    _s_orbit_meets,
+    _coarsen,
+    _refine,
     apply_perm_subset,
     fs_boolean,
     hull,
-    least_support_subset,
     member,
     powerset_atoms,
 )
+from test_differential import DETERMINISTIC, FS_CARRIERS
 
 A = atoms_set()
 A2 = strong_set([2])
@@ -29,7 +42,7 @@ def test_singleton_membership_and_support():
     u = FsSubset.singleton(atom(5))
     assert member(u, atom(5))
     assert not member(u, atom(7))
-    assert least_support_subset(u) == frozenset({5})
+    assert u.support == frozenset({5})
 
 
 def test_empty_and_full():
@@ -37,7 +50,7 @@ def test_empty_and_full():
     f = FsSubset.full(A)
     assert e.is_empty() and not f.is_empty()
     assert member(f, atom(3)) and not member(e, atom(3))
-    assert least_support_subset(f) == frozenset()
+    assert f.support == frozenset()
 
 
 def test_normalization_drops_redundant_support():
@@ -146,35 +159,168 @@ def test_powerset_atoms_are_singletons():
 
 
 def test_fs_boolean_charges_the_callers_budget():
-    # a union over a 5-atom support expands both operands to S-orbits
-    # over all five atoms and normalizes the result
+    # a union refines both operands to S-orbits over the union of their
+    # supports and normalizes the result
     a3 = strong_set([3])
     u = FsSubset.singleton(Element(a3, 0, [0, 1, 2]))
     v = FsSubset.singleton(Element(a3, 0, [3, 4, 0]))
-    with pytest.raises(BudgetExhausted):
-        fs_boolean("union", u, v, budget=Budget(limit=50))
     budget = Budget()
     w = fs_boolean("union", u, v, budget=budget)
     assert w.support == frozenset(range(5))
     assert w == fs_boolean("union", u, v)
-    # the normalization of the result is charged on top of the expansions
-    expansions = Budget()
+    # the normalization of the result is charged on top of the refinements
+    refinements = Budget()
     for x in (u, v):
-        _expand_keys(a3, x.support, x.keys, w.support, expansions)
-    assert 0 < expansions.used < budget.used
+        _refine(a3, x.keys, x.support, w.support, refinements)
+    assert 0 < refinements.used < budget.used
+    # the complement of {(0, 1, 2)} holds 33 S-orbits, each refined to
+    # S-orbits over five atoms
+    large = fs_boolean("complement", u)
+    with pytest.raises(BudgetExhausted):
+        fs_boolean("union", large, v, budget=Budget(limit=50))
+    full = Budget()
+    fs_boolean("union", large, v, budget=full)
+    assert full.used > 50
 
 
 def test_hull_charges_its_normalization():
-    # hull ticks = its S-orbit sweep and meet tests + the result's normalization
+    # hull ticks = its refinement to S + supp U and coarsening to S, plus
+    # the result's normalization
     u = FsSubset.singleton(Element(A2, 0, [0, 1]))
     s = frozenset({0})
-    parts = Budget()
-    for c in s_orbit_reps(A2, s, budget=parts):
-        _s_orbit_meets(c, s, u, parts)
     whole = Budget()
     h = hull(s, u, budget=whole)
     assert h.support == s
+    parts = Budget()
+    t = s | u.support
+    assert _coarsen(A2, _refine(A2, u.keys, u.support, t, parts), t, s, parts) == h.keys
     norm = Budget()
     assert FsSubset(A2, s, h.keys, budget=norm) == h
-    assert norm.used > 0
+    assert parts.used > 0 and norm.used > 0
     assert whole.used == parts.used + norm.used
+    # hulling the 33 S-orbits of a complement to three other atoms
+    a3 = strong_set([3])
+    large = fs_boolean("complement", FsSubset.singleton(Element(a3, 0, [0, 1, 2])))
+    with pytest.raises(BudgetExhausted):
+        hull({3, 4, 5}, large, budget=Budget(limit=50))
+
+
+def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
+    # every relabeling of a key (refinement, full key, swap test,
+    # coarsening) is preceded by exactly one tick, so a budget stops a
+    # boolean operation within one key operation of its limit
+    carrier = OrbitFiniteSet(
+        [OrbitDescriptor(1), OrbitDescriptor(2, [(1, 0)]), OrbitDescriptor(3, [(1, 2, 0)])]
+    )
+    pairs = [
+        (FsSubset.from_elements(carrier, {0, 1}, [carrier.element(2, [0, 5, 1])]),
+         FsSubset.from_elements(carrier, {1, 2}, [carrier.element(1, [1, 7])])),
+        (FsSubset.singleton(carrier.element(1, [0, 1])),
+         FsSubset.from_elements(carrier, {0}, [carrier.element(0, [0])])),
+    ]
+    events = []
+    relabel = fssets.first_occurrence_labels
+
+    def counted_relabel(*args):
+        events.append("key")
+        return relabel(*args)
+
+    monkeypatch.setattr(fssets, "first_occurrence_labels", counted_relabel)
+    budget = Budget()
+    tick = budget.tick
+
+    def counted_tick(n=1):
+        events.append("tick")
+        tick(n)
+
+    budget.tick = counted_tick
+    for u, v in pairs:
+        for op in ("union", "intersect", "difference"):
+            fs_boolean(op, u, v, budget=budget)
+            fs_boolean(op, v, u, budget=budget)
+        fs_boolean("complement", u, budget=budget)
+        hull(u.support - {0}, u, budget=budget)
+    between = 0
+    for e in events:
+        if e == "tick":
+            between = 0
+        else:
+            between += 1
+            assert between <= 1
+    assert events.count("key") == events.count("tick") == budget.used > 0
+
+
+# --- boolean laws on every carrier ----------------------------------------
+
+
+@st.composite
+def subsets(draw, carrier, atoms=range(5)):
+    """A random union of S-orbits, with 0-3 support atoms."""
+    support = frozenset(draw(st.sets(st.sampled_from(atoms), max_size=3)))
+    keys = [s_orbit_key(r, support) for r in s_orbit_reps(carrier, support)]
+    return FsSubset(carrier, support, draw(st.sets(st.sampled_from(keys))))
+
+
+def probes(carrier, *supports):
+    """The elements over the union of the supports plus two fresh atoms."""
+    atoms = sorted(frozenset().union(*supports))
+    fresh = fresh_stream(atoms)
+    return elements_with_support(carrier, atoms + [next(fresh), next(fresh)])
+
+
+@settings(max_examples=150, **DETERMINISTIC)
+@given(st.data())
+def test_boolean_laws_on_every_carrier(data):
+    carrier = data.draw(FS_CARRIERS)
+    u, v, w = (data.draw(subsets(carrier)) for _ in range(3))
+
+    def union(a, b):
+        return fs_boolean("union", a, b)
+
+    def meet(a, b):
+        return fs_boolean("intersect", a, b)
+
+    def comp(a):
+        return fs_boolean("complement", a)
+
+    assert comp(union(u, v)) == meet(comp(u), comp(v))
+    assert comp(meet(u, v)) == union(comp(u), comp(v))
+    assert meet(u, union(v, w)) == union(meet(u, v), meet(u, w))
+    assert union(u, meet(v, w)) == meet(union(u, v), union(u, w))
+    assert comp(comp(u)) == u
+    assert union(u, comp(u)) == FsSubset.full(carrier)
+    assert meet(u, comp(u)) == FsSubset.empty(carrier)
+    results = {
+        "union": union(u, v),
+        "intersect": meet(u, v),
+        "difference": fs_boolean("difference", u, v),
+        "complement": comp(u),
+    }
+    for x in probes(carrier, u.support, v.support):
+        inside_u, inside_v = member(u, x), member(v, x)
+        assert member(results["union"], x) == (inside_u or inside_v)
+        assert member(results["intersect"], x) == (inside_u and inside_v)
+        assert member(results["difference"], x) == (inside_u and not inside_v)
+        assert member(results["complement"], x) == (not inside_u)
+
+
+@settings(max_examples=150, **DETERMINISTIC)
+@given(st.data())
+def test_hull_laws_on_every_carrier(data):
+    carrier = data.draw(FS_CARRIERS)
+    u = data.draw(subsets(carrier))
+    s = frozenset(data.draw(st.sets(st.sampled_from(range(5)), max_size=3)))
+    h = hull(s, u)
+    assert fs_boolean("difference", u, h).is_empty()
+    assert h.support <= s
+    assert hull(s, h) == h
+    # x is in hull_S(U) iff its S-orbit meets U; every S-orbit meeting U
+    # meets it over supp U + S and as many fresh atoms as the bound
+    pool = sorted(u.support | s)
+    fresh = fresh_stream(pool)
+    pool += [next(fresh) for _ in range(carrier.bound)]
+    meets = {
+        s_orbit_key(y, s) for y in elements_with_support(carrier, pool) if member(u, y)
+    }
+    for x in probes(carrier, u.support, s):
+        assert member(h, x) == (s_orbit_key(x, s) in meets)
