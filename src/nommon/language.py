@@ -3,11 +3,12 @@
 A language is never materialized: it is carried by a recognizer, a
 generator map h0: Sigma -> M together with a finitely supported
 predicate on M. Membership is evaluation followed by a predicate test;
-boolean structure and syntactic monoids are computed on recognizers.
+boolean structure is computed on recognizers, and syntactic congruences
+on the S-orbits of pairs of M, for S the predicate's support.
 """
 
 from nommon.errors import InvalidInput, ensure_budget
-from nommon.fssets import FsSubset, fs_boolean
+from nommon.fssets import FsSubset, _full_keys, fs_boolean
 from nommon.fssets import member as fs_member
 from nommon.fssets import preimage_subset
 from nommon.monoid import (
@@ -15,17 +16,19 @@ from nommon.monoid import (
     coimage,
     congruence_generated,  # noqa: F401  (re-export convenience)
     Congruence,
+    generating_orbits,
     product_monoid,
     quotient,
 )
-from nommon.perm import fresh_stream
 from nommon.sets import (
     Element,
     act,
     atoms_set,
     compose_maps,
-    elements_with_support,
+    instantiate_s_key,
     map_from_concrete,
+    s_orbit_key,
+    s_orbit_reps,
 )
 
 
@@ -126,79 +129,70 @@ class SyntacticResult:
         self.congruence = congruence
 
 
-def syntactic_classes(m, p, budget=None):
-    """The classes of the syntactic congruence of p on the context pool.
+def syntactic_congruence(m, p, budget=None):
+    """m ~ m' iff no context (u, v) tells them apart through p.
 
-    The pool E holds the elements supported by supp(p) plus 4k fresh
-    atoms; joint equivariance of the separation predicate makes it
-    exhaustive for all orbit patterns. E contains the unit and is closed
-    under multiplication, since supp(xy) is a subset of supp x | supp y.
-    So "no context (u, v) in E x E tells x and y apart through p" is
-    the coarsest partition of E that refines {p, not p} and is stable
-    under multiplication by E on either side.
+    ~ is the greatest relation inside {(x, y) : p(x) = p(y)} closed
+    under multiplying both components by a generator on either side;
+    closure under generators is closure under all of m. It is
+    Perm_S-invariant for S = supp p, so it is computed on the keys of
+    the S-orbits of M x M:
 
-    That partition is found by Moore refinement over the multiplication
-    table T[i][j] = index of e_i e_j, built once with |E|^2 multiplies
-    (one tick each). Each round gives i the class of the key (class of
-    i, classes of row i, classes of column i) and ticks once per
-    element; it stops when the class count stops growing. Classes come
-    in the order of their first member in E.
+    - a node per key; it starts out removed when p separates its pair;
+    - the node of (x, y) has edges to the S-orbits of (ux, uy) and
+      (xu, yu) for u over the Perm_{S + supp x + supp y}-orbit
+      representatives of the ``generating_orbits``, since a permutation
+      fixing S, x and y keeps each target in its S-orbit;
+    - removal spreads backwards along the edges in one stack pass;
+      diagonal nodes reach only diagonal ones, so they get no edges.
+
+    The kept keys are the pair set. One tick per full-key tuple and per
+    tuple of a context enumeration (memoized per support), one before
+    each multiply and one per removed node popped.
     """
     budget = ensure_budget(budget)
     if p.carrier != m.carrier:
         raise InvalidInput("predicate must live in the monoid's carrier")
-    k = m.carrier.bound
-    s = sorted(p.support)
-    gen = fresh_stream(s)
-    pool = s + [next(gen) for _ in range(4 * k)]
-    elems = elements_with_support(m.carrier, pool, budget=budget)
-    index = {e: i for i, e in enumerate(elems)}
-    rows = []
-    for x in elems:
-        row = []
-        for y in elems:
-            budget.tick()
-            row.append(index[m.multiply(x, y)])
-        rows.append(row)
-    columns = list(zip(*rows))
-    cls = [int(fs_member(p, e)) for e in elems]
-    count = len(set(cls))
-    while True:
-        ids = {}
-        refined = []
-        for i in range(len(elems)):
-            budget.tick()
-            key = (
-                cls[i],
-                tuple(map(cls.__getitem__, rows[i])),
-                tuple(map(cls.__getitem__, columns[i])),
-            )
-            refined.append(ids.setdefault(key, len(ids)))
-        cls = refined
-        if len(ids) == count:
-            break
-        count = len(ids)
-    groups = {}
-    for x, c in zip(elems, cls):
-        groups.setdefault(c, []).append(x)
-    return list(groups.values())
+    s = p.support
+    prod = m.product
+    gens = generating_orbits(m)
+    nodes = _full_keys(prod.set, len(s), budget)
+    preds = {key: [] for key in nodes}
+    removed = []
+    contexts = {}  # S + supp x + supp y -> generator representatives
 
+    def times(x, y):
+        budget.tick()
+        return m.multiply(x, y)
 
-def syntactic_congruence(m, p, budget=None):
-    """m ~ m' iff no context (u, v) tells them apart through p.
-
-    The classes come from ``syntactic_classes``; the congruence is
-    presented by the pairs within each class, supported by supp(p).
-    """
-    budget = ensure_budget(budget)
-    pairs = []
-    for members in syntactic_classes(m, p, budget=budget):
-        for x in members:
-            for y in members:
-                budget.tick()
-                pairs.append(m.product.pair(x, y))
-    subset = FsSubset.from_elements(m.product.set, p.support, pairs)
-    return Congruence(m, subset)
+    for key in nodes:
+        e = instantiate_s_key(prod.set, key, s)
+        x, y = prod.unpair(e)
+        if x == y:
+            continue
+        if fs_member(p, x) != fs_member(p, y):
+            removed.append(key)
+            continue
+        t = s.union(e.tuple)
+        us = contexts.get(t)
+        if us is None:
+            us = contexts[t] = [
+                u for u in s_orbit_reps(m.carrier, t, budget=budget) if u.orbit in gens
+            ]
+        for u in us:
+            for target in (
+                prod.pair(times(u, x), times(u, y)),
+                prod.pair(times(x, u), times(y, u)),
+            ):
+                preds[s_orbit_key(target, s)].append(key)
+    dead = set(removed)
+    while removed:
+        budget.tick()
+        for key in preds[removed.pop()]:
+            if key not in dead:
+                dead.add(key)
+                removed.append(key)
+    return Congruence(m, FsSubset(prod.set, s, nodes - dead))
 
 
 def syntactic_monoid(m, p, budget=None):

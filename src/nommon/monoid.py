@@ -119,9 +119,26 @@ def validate_monoid(m, budget=None):
     Perm_{supp x}-orbit representatives and z over its
     Perm_{supp x + supp y}-orbit representatives (``s_orbit_reps``).
     Both sides of the law are equivariant, and every triple lies in the
-    orbit of one of these, so the check is complete.
+    orbit of one of these, so the check is complete. The representatives
+    are memoized per support for the length of the call; a memo hit
+    charges the ticks of the enumeration it saves.
     """
     budget = ensure_budget(budget)
+    memo = {}  # support -> (representatives, ticks of their enumeration)
+
+    def reps_over(atoms):
+        key = frozenset(atoms)
+        hit = memo.get(key)
+        if hit is None:
+            used = budget.used
+            reps = s_orbit_reps(m.carrier, key, budget=budget)
+            memo[key] = (reps, budget.used - used)
+            return reps
+        reps, ticks = hit
+        for _ in range(ticks):
+            budget.tick()
+        return reps
+
     failures = []
     if m.unit.tuple != ():
         failures.append(("unit-support", m.unit))
@@ -136,9 +153,8 @@ def validate_monoid(m, budget=None):
         if m.multiply(x, m.unit) != x:
             failures.append(("right-unit", x))
     for x in reps:
-        for y in s_orbit_reps(m.carrier, x.tuple, budget=budget):
-            xy_atoms = x.tuple + y.tuple
-            for z in s_orbit_reps(m.carrier, xy_atoms, budget=budget):
+        for y in reps_over(x.tuple):
+            for z in reps_over(x.tuple + y.tuple):
                 budget.tick()
                 lhs = m.multiply(m.multiply(x, y), z)
                 rhs = m.multiply(x, m.multiply(y, z))
@@ -440,6 +456,26 @@ def closed_orbit_indices(m, start):
                 closed.add(r)
                 changed = True
     return frozenset(closed)
+
+
+def generating_orbits(m):
+    """A least generating orbit set: orbit indices whose closure under
+    multiplication (``closed_orbit_indices``) is every orbit of m, and
+    from which no orbit can be dropped.
+
+    Orbits are visited highest dimension first, and each is dropped
+    when the others still close to every orbit; the unit orbit always
+    goes, since the closure adds it. The product of two orbits maps
+    onto its result orbit (an equivariant map is onto the orbit it maps
+    into), so the elements of the kept orbits generate m as a monoid.
+    """
+    everything = frozenset(range(len(m.carrier.orbits)))
+    kept = set(everything)
+    for i in sorted(everything, key=lambda i: -m.carrier.orbits[i].dim):
+        kept.discard(i)
+        if closed_orbit_indices(m, kept) != everything:
+            kept.add(i)
+    return frozenset(kept)
 
 
 def restrict_to_orbits(ambient, indices, unit, multiply):

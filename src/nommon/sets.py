@@ -124,7 +124,7 @@ class Element:
             isinstance(other, Element)
             and self.orbit == other.orbit
             and self.tuple == other.tuple
-            and self.set == other.set
+            and (self.set is other.set or self.set == other.set)
         )
 
     def __hash__(self):

@@ -1,23 +1,25 @@
 """Brute-force reference implementations, kept as test oracles.
 
 The library finds pair patterns by first-occurrence relabeling, the
-syntactic congruence by partition refinement, the least support of a
-subset in one transposition pass, S-orbits and product orbits by
-enumerating one tuple per orbit, product stabilizers from G_x x G_y,
-checks associativity on S-orbit representatives, encodes S-orbit
-keys as integer labels, and refines, coarsens and complements subsets
-on those labels. These are the direct definitions those replaced,
-among them the sweeps over S-orbit representatives that re-expressed,
-complemented and hulled subsets, and the tagged (0, atom) / (1, k)
-S-orbit keys; the differential tests check the fast paths against them.
+syntactic congruence as a greatest fixpoint on S-orbits of pairs, the
+least support of a subset in one transposition pass, S-orbits and
+product orbits by enumerating one tuple per orbit, product stabilizers
+from G_x x G_y, checks associativity on S-orbit representatives
+memoized per support, encodes S-orbit keys as integer labels, and
+refines, coarsens and complements subsets on those labels. These are
+the direct definitions those replaced, among them the Moore refinement
+over a context pool that computed the syntactic congruence, the sweeps
+over S-orbit representatives that re-expressed, complemented and hulled
+subsets, and the tagged (0, atom) / (1, k) S-orbit keys; the
+differential tests check the fast paths against them.
 """
 
 from itertools import permutations
 
-from nommon.errors import CapExceeded, ensure_budget
+from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.fssets import FsSubset, member
 from nommon.kernel import apply_positions, min_coset
-from nommon.monoid import MonoidReport
+from nommon.monoid import Congruence, MonoidReport
 from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
     GROUP_CAP,
@@ -108,8 +110,8 @@ def pair_pattern(x, y):
 
 
 def context_products(m, support):
-    """The context pool E of ``nommon.language.syntactic_classes`` for a
-    predicate with the given support, and for each x in E the products
+    """The context pool E of ``moore_classes`` for a predicate with the
+    given support, and for each x in E the products
     u x v over all contexts (u, v) in E x E, as indices into E."""
     k = m.carrier.bound
     s = sorted(support)
@@ -137,6 +139,81 @@ def syntactic_classes(m, p, contexts=None):
     for x in elems:
         groups.setdefault(tuple(in_p[i] for i in products[x]), []).append(x)
     return list(groups.values())
+
+
+def moore_classes(m, p, budget=None):
+    """The classes of the syntactic congruence of p on the context pool.
+
+    The pool E holds the elements supported by supp(p) plus 4k fresh
+    atoms; joint equivariance of the separation predicate makes it
+    exhaustive for all orbit patterns. E contains the unit and is closed
+    under multiplication, since supp(xy) is a subset of supp x | supp y.
+    So "no context (u, v) in E x E tells x and y apart through p" is
+    the coarsest partition of E that refines {p, not p} and is stable
+    under multiplication by E on either side.
+
+    That partition is found by Moore refinement over the multiplication
+    table T[i][j] = index of e_i e_j, built once with |E|^2 multiplies
+    (one tick each). Each round gives i the class of the key (class of
+    i, classes of row i, classes of column i) and ticks once per
+    element; it stops when the class count stops growing. Classes come
+    in the order of their first member in E.
+    """
+    budget = ensure_budget(budget)
+    if p.carrier != m.carrier:
+        raise InvalidInput("predicate must live in the monoid's carrier")
+    k = m.carrier.bound
+    s = sorted(p.support)
+    gen = fresh_stream(s)
+    pool = s + [next(gen) for _ in range(4 * k)]
+    elems = elements_with_support(m.carrier, pool, budget=budget)
+    index = {e: i for i, e in enumerate(elems)}
+    rows = []
+    for x in elems:
+        row = []
+        for y in elems:
+            budget.tick()
+            row.append(index[m.multiply(x, y)])
+        rows.append(row)
+    columns = list(zip(*rows))
+    cls = [int(member(p, e)) for e in elems]
+    count = len(set(cls))
+    while True:
+        ids = {}
+        refined = []
+        for i in range(len(elems)):
+            budget.tick()
+            key = (
+                cls[i],
+                tuple(map(cls.__getitem__, rows[i])),
+                tuple(map(cls.__getitem__, columns[i])),
+            )
+            refined.append(ids.setdefault(key, len(ids)))
+        cls = refined
+        if len(ids) == count:
+            break
+        count = len(ids)
+    groups = {}
+    for x, c in zip(elems, cls):
+        groups.setdefault(c, []).append(x)
+    return list(groups.values())
+
+
+def syntactic_congruence(m, p, budget=None):
+    """m ~ m' iff no context (u, v) tells them apart through p.
+
+    The classes come from ``moore_classes``; the congruence is
+    presented by the pairs within each class, supported by supp(p).
+    """
+    budget = ensure_budget(budget)
+    pairs = []
+    for members in moore_classes(m, p, budget=budget):
+        for x in members:
+            for y in members:
+                budget.tick()
+                pairs.append(m.product.pair(x, y))
+    subset = FsSubset.from_elements(m.product.set, p.support, pairs)
+    return Congruence(m, subset)
 
 
 def _expand_keys(carrier, support, keys, larger, budget=None):
@@ -296,6 +373,36 @@ def stabilizer(left, right, x_orbit, x_labels, y_orbit, y_labels, d):
     if len(stab) > GROUP_CAP:
         raise CapExceeded("stabilizer exceeds group cap")
     return tuple(sorted(stab))
+
+
+def validate_monoid_unmemoized(m, budget=None):
+    """The monoid axioms with associativity checked on S-orbit
+    representatives as ``nommon.monoid.validate_monoid`` does, but
+    enumerating them afresh for every (x, y)."""
+    budget = ensure_budget(budget)
+    failures = []
+    if m.unit.tuple != ():
+        failures.append(("unit-support", m.unit))
+    wd = check_map_well_defined(m.mult)
+    for orbit, gen in wd.failures:
+        failures.append(("mult-ill-defined", (orbit, gen)))
+    reps = orbit_reps(m.carrier)
+    for x in reps:
+        budget.tick()
+        if m.multiply(m.unit, x) != x:
+            failures.append(("left-unit", x))
+        if m.multiply(x, m.unit) != x:
+            failures.append(("right-unit", x))
+    for x in reps:
+        for y in fast_s_orbit_reps(m.carrier, x.tuple, budget=budget):
+            xy_atoms = x.tuple + y.tuple
+            for z in fast_s_orbit_reps(m.carrier, xy_atoms, budget=budget):
+                budget.tick()
+                lhs = m.multiply(m.multiply(x, y), z)
+                rhs = m.multiply(x, m.multiply(y, z))
+                if lhs != rhs:
+                    failures.append(("associativity", (x, y, z, lhs, rhs)))
+    return MonoidReport(failures)
 
 
 def validate_monoid(m, budget=None):

@@ -2,6 +2,8 @@ import pytest
 
 from nommon.catalog import builder
 from nommon.cli import main
+from nommon.errors import Budget
+from nommon.language import catalog_language, syntactic_of_language
 from nommon.textfmt import serialize
 
 
@@ -161,7 +163,11 @@ def test_budget_exhaustion(capsys):
 
 
 def test_syntactic_budget_exhaustion(capsys):
-    code, out = run(capsys, "syntactic", "l0", "--budget", "1000")
+    # the whole computation takes more ticks than the budget given here
+    full = Budget()
+    syntactic_of_language(catalog_language("l0"), budget=full)
+    assert full.used > 500
+    code, out = run(capsys, "syntactic", "l0", "--budget", "500")
     assert code == 3
     assert "budget exhausted" in out
 

@@ -11,7 +11,7 @@ from nommon.catalog import builder, catalog_names
 from nommon.errors import Budget
 from nommon.fssets import FsSubset, _normalize, _refine, fs_boolean, hull, preimage_subset
 from nommon.kernel import min_coset
-from nommon.language import catalog_language, syntactic_classes
+from nommon.language import catalog_language, syntactic_congruence
 from nommon.monoid import (
     NominalMonoid,
     coimage,
@@ -126,8 +126,19 @@ def test_s_orbit_keys_match_the_tagged_encoding(data):
     )
 
 
-def partition(classes):
-    return {frozenset(c) for c in classes}
+def assert_congruence_matches(m, p, classes=None):
+    """The congruence's pair set is the Moore oracle's, and ``related``
+    agrees on E x E with the given partition of the context pool E
+    (by default the Moore oracle's classes)."""
+    cong = syntactic_congruence(m, p)
+    assert cong.pairs == reference.syntactic_congruence(m, p).pairs
+    if classes is None:
+        classes = reference.moore_classes(m, p)
+    class_of = {x: i for i, c in enumerate(classes) for x in c}
+    for x in class_of:
+        for y in class_of:
+            assert cong.related(x, y) == (class_of[x] == class_of[y]), (x, y)
+    return cong
 
 
 @pytest.mark.parametrize(
@@ -143,9 +154,7 @@ def test_syntactic_classes_match_signatures(name, examples):
     @given(st.sets(st.sampled_from(range(len(reps)))))
     def check(orbits):
         p = FsSubset.from_elements(m.carrier, (), [reps[i] for i in orbits])
-        assert partition(syntactic_classes(m, p)) == partition(
-            reference.syntactic_classes(m, p, contexts)
-        )
+        assert_congruence_matches(m, p, reference.syntactic_classes(m, p, contexts))
 
     check()
 
@@ -155,10 +164,7 @@ def test_syntactic_classes_match_signatures(name, examples):
 def test_syntactic_classes_match_on_supported_predicates(data):
     m = builder(data.draw(st.sampled_from(["pair_zero", "cutoff2"])))
     x = data.draw(elements(m.carrier, atoms=range(3)))
-    p = FsSubset.singleton(x)
-    assert partition(syntactic_classes(m, p)) == partition(
-        reference.syntactic_classes(m, p)
-    )
+    assert_congruence_matches(m, FsSubset.singleton(x))
 
 
 def test_syntactic_classes_l2_any():
@@ -166,9 +172,8 @@ def test_syntactic_classes_l2_any():
     lang = catalog_language("l2-any")
     g, incl = coimage(lang.genmap)
     p = preimage_subset(incl.map, lang.predicate)
-    fast = syntactic_classes(g.monoid, p)
-    assert partition(fast) == partition(reference.syntactic_classes(g.monoid, p))
-    assert len(fast) > 1
+    cong = assert_congruence_matches(g.monoid, p)
+    assert cong.pairs != FsSubset.full(g.monoid.product.set)
 
 
 def test_syntactic_classes_need_two_sided_contexts():
@@ -191,9 +196,8 @@ def test_syntactic_classes_need_two_sided_contexts():
     m = monoid_from_concrete(carrier, carrier.element(0, ()), mult)
     reps = orbit_reps(m.carrier)
     p = FsSubset.from_elements(m.carrier, (), [reps[1]])
-    fast = partition(syntactic_classes(m, p))
-    assert fast == partition(reference.syntactic_classes(m, p))
-    assert not any(reps[4] in c and reps[5] in c for c in fast)
+    cong = assert_congruence_matches(m, p)
+    assert not cong.related(reps[4], reps[5])
 
 
 # carriers up to dim 3 with the Z/2, C3 and S3 position groups, together
@@ -360,6 +364,17 @@ def test_validate_matches_all_triples_on_bound_one_products(left):
         assert validate_monoid(m).ok == reference.validate_monoid(m).ok
 
 
+@pytest.mark.parametrize("left", LOW_BOUND)
+def test_validate_memo_charges_like_the_unmemoized_path(left):
+    for right in LOW_BOUND:
+        m = product_monoid(builder(left), builder(right)).monoid
+        fast, slow = Budget(), Budget()
+        assert validate_monoid(m, budget=fast).failures == (
+            reference.validate_monoid_unmemoized(m, budget=slow).failures
+        )
+        assert fast.used == slow.used
+
+
 def redirect(m, p, z):
     """m with the reference pair of product orbit p sent to z instead."""
     ref = m.product.set.element(p, range(m.product.set.orbits[p].dim))
@@ -385,6 +400,11 @@ def redirected_tables(draw):
 @given(redirected_tables())
 def test_validate_matches_all_triples_on_corrupted_tables(m):
     assert validate_monoid(m).ok == reference.validate_monoid(m).ok
+    fast, slow = Budget(), Budget()
+    assert validate_monoid(m, budget=fast).failures == (
+        reference.validate_monoid_unmemoized(m, budget=slow).failures
+    )
+    assert fast.used == slow.used
 
 
 def test_validate_catches_unit_row_and_associativity_corruption():
@@ -472,3 +492,56 @@ def test_find_isomorphism_with_a_position_group(orbit):
     assert iso is not None and validate_morphism(iso).ok
     assert check_map_well_defined(iso.map).ok
     assert find_isomorphism(m, null_monoid(OrbitDescriptor(orbit.dim))) is None
+
+
+# --- syntactic congruence on position-group carriers -------------------
+
+
+def unordered_pair_zero():
+    """1 + A + {A, A} + 0: a.b = {a, b} for a != b, and every other
+    product of non-units is 0. The pairs form the Z/2 orbit of SYMMETRIC."""
+    carrier = OrbitFiniteSet(
+        [OrbitDescriptor(0), OrbitDescriptor(1), SYMMETRIC.orbits[3], OrbitDescriptor(0)]
+    )
+    unit, zero = carrier.element(0, ()), carrier.element(3, ())
+
+    def mult(x, y):
+        if x == unit:
+            return y
+        if y == unit:
+            return x
+        if x.orbit == y.orbit == 1 and x.tuple != y.tuple:
+            return carrier.element(2, x.tuple + y.tuple)
+        return zero
+
+    return monoid_from_concrete(carrier, unit, mult)
+
+
+# monoids with a Z/2 orbit, and catalog monoids; bound at most 2, since
+# the oracle's context pool grows with 4k fresh atoms
+SYNTACTIC_MONOIDS = [unordered_pair_zero(), null_monoid(SYMMETRIC.orbits[3])] + [
+    builder(n) for n in ("pair_zero", "cutoff2", "barred", "first_proj", "cyclic3")
+]
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(st.data())
+def test_syntactic_congruence_matches_on_supported_predicates(data):
+    # p is a union of Perm_S-orbits for some S of at most two atoms
+    m = data.draw(st.sampled_from(SYNTACTIC_MONOIDS))
+    support = data.draw(st.sets(st.integers(0, 2), max_size=2))
+    xs = data.draw(st.lists(elements(m.carrier, atoms=range(4)), max_size=3))
+    assert_congruence_matches(m, FsSubset.from_elements(m.carrier, support, xs))
+
+
+def test_syntactic_congruence_on_unordered_pairs():
+    # p = {{0, 1}}: a and b are congruent iff they are the same letter
+    # or both outside {0, 1}; the congruence has the support {0, 1}
+    m = unordered_pair_zero()
+    p = FsSubset.singleton(m.carrier.element(2, (1, 0)))
+    cong = assert_congruence_matches(m, p)
+    assert cong.pairs.support == frozenset({0, 1})
+    letter = lambda a: m.carrier.element(1, (a,))  # noqa: E731
+    assert cong.related(letter(2), letter(3))
+    assert not cong.related(letter(0), letter(1))
+    assert not cong.related(letter(0), letter(2))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nommon.language as language
 from nommon.catalog import builder
 from nommon.errors import Budget, InvalidInput
 from nommon.language import (
@@ -18,8 +19,10 @@ from nommon.language import (
     syntactic_of_language,
 )
 from nommon.fssets import FsSubset
+from nommon.fssets import member as fs_member
 from nommon.monoid import (
     find_isomorphism,
+    generating_orbits,
     product_monoid,
     validate_monoid,
     validate_morphism,
@@ -204,14 +207,15 @@ def test_syntactic_merges_only_inseparable_pairs():
             assert sigs[x] == sigs[y]
 
 
-def test_syntactic_budget_contract():
-    # at most one multiply between consecutive ticks, and the refinement
-    # rounds between the table build and the pair loop tick too
+def test_syntactic_budget_contract(monkeypatch):
+    # at most one multiply between consecutive ticks; one tick per node
+    # (an S-orbit of pairs, a product orbit for S = {}), the ticks of the
+    # context enumerations, one per multiply and one per removed node
     m = builder("l0_recognizer")
     p = FsSubset.from_elements(m.carrier, (), [orbit_reps(m.carrier)[3]])
     events = []
     budget = Budget()
-    tick, multiply, pair = budget.tick, m.multiply, m.product.pair
+    tick, multiply, reps = budget.tick, m.multiply, language.s_orbit_reps
 
     def counted_tick(n=1):
         events.append("tick")
@@ -222,14 +226,16 @@ def test_syntactic_budget_contract():
         events.append("multiply")
         return z
 
-    def counted_pair(x, y):
-        events.append("pair")
-        return pair(x, y)
+    def counted_reps(*args, **kwargs):
+        events.append("reps")
+        out = reps(*args, **kwargs)
+        events.append("reps-end")
+        return out
 
     budget.tick = counted_tick
     m.multiply = counted_multiply
-    m.product.pair = counted_pair
-    syntactic_congruence(m, p, budget=budget)
+    monkeypatch.setattr(language, "s_orbit_reps", counted_reps)
+    cong = syntactic_congruence(m, p, budget=budget)
 
     between = 0
     for e in events:
@@ -238,8 +244,25 @@ def test_syntactic_budget_contract():
         elif e == "multiply":
             between += 1
             assert between <= 1
-    contexts = 129  # elements over 4k = 8 atoms
-    assert events.count("multiply") == contexts**2
+    nodes = len(m.product.set.orbits)
+    assert events.index("reps") == nodes
+    assert events[:nodes] == ["tick"] * nodes
+    context_ticks = 0
+    inside = False
+    for e in events:
+        inside = (inside or e == "reps") and e != "reps-end"
+        context_ticks += inside and e == "tick"
+    # four multiplies per generator representative of each node that is
+    # neither diagonal nor separated by p
+    gens = generating_orbits(m)
+    edges = 0
+    for e in orbit_reps(m.product.set):
+        x, y = m.product.unpair(e)
+        if x != y and fs_member(p, x) == fs_member(p, y):
+            edges += sum(u.orbit in gens for u in reps(m.carrier, e.tuple))
+    assert events.count("multiply") == 4 * edges
+    pops = nodes - len(cong.pairs.keys)
     last = len(events) - 1 - events[::-1].index("multiply")
-    refinement = events[last + 1 : events.index("pair", last)]
-    assert refinement.count("tick") >= contexts
+    assert events[last + 1 :] == ["tick"] * pops
+    assert budget.used == nodes + context_ticks + 4 * edges + pops
+    assert (nodes, context_ticks, edges, pops) == (69, 120, 118, 51)

@@ -7,6 +7,7 @@ import pytest
 
 from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import InvalidInput
+from nommon.language import catalog_language
 from nommon.monoid import (
     Assignment,
     EquivariantMap,
@@ -21,6 +22,7 @@ from nommon.monoid import (
     enumerate_small_monoids,
     factorial_power_index,
     find_isomorphism,
+    generating_orbits,
     image_factorization,
     is_aperiodic,
     identity_morphism,
@@ -428,3 +430,23 @@ def test_enumerate_small_monoids_matches_oracle():
     assert len(found) == small_monoid_oracle_count()
     # only the trivial monoid exists with one orbit
     assert len(enumerate_small_monoids(1, 1)) == 1
+
+
+def generated_monoids():
+    """Every catalog monoid, and the coimages syntactic_of_language takes
+    for l0 and l2-any."""
+    cases = [(name, builder(name)) for name in catalog_names()]
+    for name in ("l0", "l2-any"):
+        cases.append((name, coimage(catalog_language(name).genmap)[0].monoid))
+    return cases
+
+
+@pytest.mark.parametrize("name, m", generated_monoids())
+def test_generating_orbits_are_a_least_generating_set(name, m):
+    everything = frozenset(range(len(m.carrier.orbits)))
+    gens = generating_orbits(m)
+    assert closed_orbit_indices(m, gens) == everything
+    for i in gens:
+        assert closed_orbit_indices(m, gens - {i}) != everything
+    # the closure always adds the unit orbit
+    assert m.unit.orbit not in gens
