@@ -14,14 +14,23 @@ from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.monoid import (
     GeneratorMap,
     closed_orbit_indices,
+    componentwise_monoid,
     enumerate_monoid_maps,
     product_monoid,
-    restrict_to_orbits,
     submonoid_generated,
     validate_morphism,
 )
 from nommon.perm import Perm, fresh_stream
-from nommon.sets import act, map_from_concrete, orbit_reps
+from nommon.sets import (
+    ORBIT_CAP,
+    Element,
+    ProductSet,
+    act,
+    map_from_concrete,
+    orbit_reps,
+    orbit_tuples,
+    pair_pattern,
+)
 
 MSR_ORBIT_CAP = 12
 
@@ -54,47 +63,51 @@ class SupportBound:
         return "SupportBound(via morphism)"
 
 
-def _pairing_image(m1, m2, gen_pairs, budget):
-    """The submonoid of M1 x M2 generated by the given pairs.
+def _pairing_image(h1, h2, budget):
+    """The orbits of X x Y that the pairs (h1(w), h2(w)) meet, as a
+    ``ProductSet`` of those orbits in key order, numbered as in
+    ``product_set`` (the ordering lemma on ``ProductSet``).
 
-    Built without ever constructing the full product monoid: pair
-    orbits are closed under componentwise multiplication first (the
-    closure stays small even when the full product would not), and
-    only the reachable orbits get a monoid structure. The orbit of a
-    product u v depends only on the Perm_{supp u}-orbit of v, so v runs
-    over one tuple per such orbit (``orbit_tuples``, one tick each).
-
-    Returns (monoid, pairs, embed, restrict) with embed/restrict the
-    element-level coercions between the image carrier and X x Y.
+    The closure runs on pair patterns, the ``ProductSet`` keys. Each
+    ordered pair of reached keys is multiplied out once: u is the first
+    key's reference pair, and v one pair of the second key per
+    Perm_{supp u}-orbit (``orbit_tuples``), as that orbit decides the
+    orbit of u v; one tick before each such componentwise product.
     """
-    from nommon.sets import Element, orbit_tuples, product_set
+    m1, m2 = h1.monoid, h2.monoid
+    dims = {}
+    keys = []
 
-    pairs = product_set(m1.carrier, m2.carrier, budget=budget)
+    def reach(a, b):
+        key = pair_pattern(a, b)[0]
+        if key not in dims:
+            if len(dims) >= ORBIT_CAP:
+                raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in a pairing image")
+            dims[key] = len(set(key[1]) | set(key[3]))
+            keys.append(key)
 
-    def mult_pair(u, v):
-        x1, x2 = pairs.unpair(u)
-        y1, y2 = pairs.unpair(v)
-        return pairs.pair(m1.multiply(x1, y1), m2.multiply(x2, y2))
+    def pair_at(key, t):
+        # the pair of the key's orbit whose label l is the atom t[l]
+        return (Element(m1.carrier, key[0], [t[l] for l in key[1]]),
+                Element(m2.carrier, key[2], [t[l] for l in key[3]]))
 
-    reachable = {pairs.pair(m1.unit, m2.unit).orbit}
-    reachable |= {pairs.pair(a, b).orbit for a, b in gen_pairs}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.product(sorted(reachable), repeat=2):
-            di = pairs.set.orbits[i].dim
-            dj = pairs.set.orbits[j].dim
-            u = Element(pairs.set, i, range(di))
-            for t in orbit_tuples(range(di), range(di, di + dj), dj):
-                budget.tick()
-                w = mult_pair(u, Element(pairs.set, j, t))
-                if w.orbit not in reachable:
-                    reachable.add(w.orbit)
-                    changed = True
-    mon, embed, restrict = restrict_to_orbits(
-        pairs.set, reachable, pairs.pair(m1.unit, m2.unit), mult_pair
-    )
-    return mon, pairs, embed, restrict
+    def multiply_out(i, j):
+        di, dj = dims[i], dims[j]
+        ux, uy = pair_at(i, range(di))
+        for t in orbit_tuples(range(di), range(di, di + dj), dj):
+            budget.tick()
+            vx, vy = pair_at(j, t)
+            reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
+
+    reach(m1.unit, m2.unit)
+    for x in orbit_reps(h1.sigma):
+        reach(h1(x), h2(x))
+    for n, k in enumerate(keys):  # keys grows while it is walked
+        for j in keys[:n + 1]:
+            multiply_out(k, j)
+            if j != k:
+                multiply_out(j, k)
+    return ProductSet(m1.carrier, m2.carrier, sorted(keys))
 
 
 def first_letter_bound():
@@ -107,7 +120,7 @@ def first_letter_bound():
 def endpoints_bound():
     """s(a1...an) = {a1, an}: supp of the (first, last) evaluation."""
     from nommon.catalog import builder
-    from nommon.sets import Element, atoms_set
+    from nommon.sets import atoms_set
 
     pm = product_monoid(builder("first_proj"), builder("last_proj"))
     sigma = atoms_set()
@@ -140,22 +153,21 @@ class BoundReport:
 def is_s_bounded(h0, s, budget=None):
     """Does supp h(w) stay below the bound for every word w?
 
-    The h-values form the submonoid generated by the letter images;
-    for a via-morphism bound the pairing with the reference evaluation
-    is generated instead and supp checked componentwise per orbit rep.
+    Against a constant S, the orbits closed from the letter images are
+    visited (``closed_orbit_indices``): supp <= S on a whole orbit forces
+    dim 0, so the first positive-dim one gives a witness once its atoms
+    leave S. Against supp q(w), each orbit that the pairs (h(w), q(w))
+    reach (``_pairing_image``) is checked on its reference pair. One tick
+    per orbit visited, in order; no image monoid is built.
     """
     budget = ensure_budget(budget)
-    sigma = h0.sigma
-    letters = orbit_reps(sigma)
     if s.variant == "constant":
-        sub = submonoid_generated(h0.monoid, [h0(x) for x in letters])
-        for r in orbit_reps(sub.monoid.carrier):
+        m = h0.monoid
+        letters = orbit_reps(h0.sigma)
+        for i in sorted(closed_orbit_indices(m, {h0(x).orbit for x in letters})):
             budget.tick()
-            # the h-value set is equivariant, so supp <= S for the whole
-            # orbit forces dim 0; a positive-dim orbit gives a witness
-            # once its atoms are pushed outside S
-            if r.tuple:
-                bad = sub.inclusion(r)
+            bad = Element(m.carrier, i, range(m.carrier.orbits[i].dim))
+            if bad.tuple:
                 gen = fresh_stream(set(bad.tuple) | s.data)
                 for a in bad.tuple:
                     if a in s.data:
@@ -163,15 +175,12 @@ def is_s_bounded(h0, s, budget=None):
                 return BoundReport(False, bad)
         return BoundReport(True)
     q0 = s.data
-    if q0.sigma != sigma:
+    if q0.sigma != h0.sigma:
         raise InvalidInput("bound and morphism have different alphabets")
-    gen_pairs = [(h0(x), q0(x)) for x in letters]
-    mon, pairs, embed, _restrict = _pairing_image(
-        h0.monoid, q0.monoid, gen_pairs, budget
-    )
-    for r in orbit_reps(mon.carrier):
+    pairs = _pairing_image(h0, q0, budget)
+    for r in orbit_reps(pairs.set):
         budget.tick()
-        a, b = pairs.unpair(embed(r))
+        a, b = pairs.unpair(r)
         if not set(a.tuple) <= set(b.tuple):
             return BoundReport(False, (a, b))
     return BoundReport(True)
@@ -191,29 +200,19 @@ class JoinResult:
 def join_s_bounded(h1, h2, s, budget=None):
     """The join of two quotients: coimage of their pairing.
 
-    The result is re-verified against the bound; the report rides
-    along (a failing report demonstrates a codirectedness failure).
+    That is the componentwise monoid on the orbits of X x Y the pairing
+    reaches (``_pairing_image``), with its projections. The result is
+    re-verified against the bound; the report rides along (a failing
+    report demonstrates a codirectedness failure).
     """
     budget = ensure_budget(budget)
     if h1.sigma != h2.sigma:
         raise InvalidInput("join needs a common alphabet")
-    gen_pairs = [(h1(x), h2(x)) for x in orbit_reps(h1.sigma)]
-    mon, pairs, embed, restrict = _pairing_image(
-        h1.monoid, h2.monoid, gen_pairs, budget
-    )
-    h0 = map_from_concrete(
-        h1.sigma,
-        mon.carrier,
-        lambda x: restrict(pairs.pair(h1(x), h2(x))),
-    )
-    genmap = GeneratorMap(h1.sigma, mon, h0)
-    from nommon.monoid import MonoidMorphism
-    from nommon.sets import compose_maps
-
-    embed_map = map_from_concrete(mon.carrier, pairs.set, embed)
-    left = MonoidMorphism(mon, h1.monoid, compose_maps(pairs.proj_left, embed_map))
-    right = MonoidMorphism(mon, h2.monoid, compose_maps(pairs.proj_right, embed_map))
-    return JoinResult(genmap, left, right, is_s_bounded(genmap, s, budget=budget))
+    pairs = _pairing_image(h1, h2, budget)
+    pm = componentwise_monoid(h1.monoid, h2.monoid, pairs)
+    h0 = map_from_concrete(h1.sigma, pairs.set, lambda x: pairs.pair(h1(x), h2(x)))
+    genmap = GeneratorMap(h1.sigma, pm.monoid, h0)
+    return JoinResult(genmap, pm.proj1, pm.proj2, is_s_bounded(genmap, s, budget=budget))
 
 
 # --- quotient classification ----------------------------------------------

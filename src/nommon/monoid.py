@@ -332,7 +332,14 @@ class ProductMonoidResult:
 
 
 def product_monoid(m, n, budget=None):
-    pairs = product_set(m.carrier, n.carrier, budget=budget)
+    return componentwise_monoid(m, n, product_set(m.carrier, n.carrier, budget=budget))
+
+
+def componentwise_monoid(m, n, pairs):
+    """The monoid on ``pairs``, a ProductSet over the carriers of m and
+    n, multiplied componentwise, with its projections. ``pairs`` may
+    hold only some orbits of X x Y: a multiplication-closed union with
+    the unit pair's orbit."""
     unit = pairs.pair(m.unit, n.unit)
 
     def mult_value(x, y):
@@ -478,36 +485,31 @@ def generating_orbits(m):
     return frozenset(kept)
 
 
-def restrict_to_orbits(ambient, indices, unit, multiply):
-    """The monoid on a multiplication-closed union of ambient orbits,
-    under the given unit and multiply; ``ambient`` need not be a monoid's
-    carrier. Returns (monoid, embed, restrict), the element coercions
-    between its carrier and ``ambient``."""
+def submonoid_from_orbits(m, indices):
+    """Materialize a union of orbits (must be mult-closed) as a monoid.
+
+    The submonoid's carrier lists the selected orbits in index order;
+    ``restrict`` and the inclusion coerce elements between it and m.
+    """
+    if m.unit.orbit not in indices:
+        raise InvalidInput("a submonoid must contain the unit orbit")
     selected = sorted(indices)
-    sub_set = OrbitFiniteSet([ambient.orbits[i] for i in selected])
+    sub_set = OrbitFiniteSet([m.carrier.orbits[i] for i in selected])
     to_sub = {f: s for s, f in enumerate(selected)}
 
     def embed(x):
-        return Element(ambient, selected[x.orbit], x.tuple)
+        return Element(m.carrier, selected[x.orbit], x.tuple)
 
     def restrict(y):
         if y.orbit not in to_sub:
             raise InvalidInput("orbit set is not multiplication-closed")
         return Element(sub_set, to_sub[y.orbit], y.tuple)
 
-    mon = monoid_from_concrete(
-        sub_set, restrict(unit), lambda x, y: restrict(multiply(embed(x), embed(y)))
+    sub = monoid_from_concrete(
+        sub_set, restrict(m.unit), lambda x, y: restrict(m.multiply(embed(x), embed(y)))
     )
-    return mon, embed, restrict
-
-
-def submonoid_from_orbits(m, indices):
-    """Materialize a union of orbits (must be mult-closed) as a monoid."""
-    if m.unit.orbit not in indices:
-        raise InvalidInput("a submonoid must contain the unit orbit")
-    sub, embed, restrict = restrict_to_orbits(m.carrier, indices, m.unit, m.multiply)
-    incl = map_from_concrete(sub.carrier, m.carrier, embed)
-    return SubMonoid(sub, MonoidMorphism(sub, m, incl), sorted(indices), restrict)
+    incl = map_from_concrete(sub_set, m.carrier, embed)
+    return SubMonoid(sub, MonoidMorphism(sub, m, incl), selected, restrict)
 
 
 def submonoid_generated(m, gens):

@@ -173,7 +173,20 @@ class TruncatedStage:
         return self.join.monoid
 
 
+def _require_s_bounded(q, s, budget):
+    rep = is_s_bounded(q, s, budget=budget)
+    if not rep.ok:
+        raise InvalidInput(f"stage quotient is not s-bounded: {rep.witness}")
+    return rep
+
+
 def build_stage(sigma, s, quotients, budget=None):
+    """The stage joining the given s-bounded quotients, in order.
+
+    Each quotient is checked against the bound once; the first becomes
+    the stage through its coimage, and each later one is joined in as
+    ``extend_stage`` does, without checking it again.
+    """
     budget = ensure_budget(budget)
     quotients = list(quotients)
     if not quotients:
@@ -182,14 +195,12 @@ def build_stage(sigma, s, quotients, budget=None):
     for q in quotients:
         if q.sigma != sigma:
             raise InvalidInput("stage quotients must share the alphabet")
-        rep = is_s_bounded(q, s, budget=budget)
-        if not rep.ok:
-            raise InvalidInput(f"stage quotient is not s-bounded: {rep.witness}")
+        rep = _require_s_bounded(q, s, budget)
         if stage is None:
             join, incl = coimage(q)
             stage = TruncatedStage(sigma, s, [q], join, [incl], rep)
         else:
-            stage, _ = extend_stage(stage, q, budget=budget)
+            stage, _ = _join_into(stage, q, budget)
     return stage
 
 
@@ -197,9 +208,12 @@ def extend_stage(stage, q, budget=None):
     """Join one more s-bounded quotient in; also returns the refinement
     morphism from the new stage monoid onto the old one."""
     budget = ensure_budget(budget)
-    rep = is_s_bounded(q, stage.bound, budget=budget)
-    if not rep.ok:
-        raise InvalidInput(f"stage quotient is not s-bounded: {rep.witness}")
+    _require_s_bounded(q, stage.bound, budget)
+    return _join_into(stage, q, budget)
+
+
+def _join_into(stage, q, budget):
+    """``extend_stage`` for a quotient already checked against the bound."""
     jn = join_s_bounded(stage.join, q, stage.bound, budget=budget)
     projections = [compose_morphisms(p, jn.left) for p in stage.projections]
     projections.append(jn.right)

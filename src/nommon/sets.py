@@ -517,54 +517,45 @@ def pair_pattern(x, y):
 
 
 class ProductSet:
-    """X x Y with canonical, duplicate-free orbit enumeration.
+    """A union of orbits of X x Y, given by their keys, with pairing
+    and unpairing.
 
-    Each product orbit stores the factor orbit indices and the
-    reference pattern (label tuples of both components), from which the
-    pairing/unpairing maps are derived. With x the reference element of
-    a left orbit (atoms 0..m-1), the orbits of pairs (x, y) are the
-    Perm_{0..m-1}-orbits of y, so y runs over ``orbit_tuples`` with the
-    labels m..m+n-1 as fresh atoms (one tick each), and a pattern is
-    kept at its first tuple.
+    An orbit's key is the pair pattern (x_orbit, x_labels, y_orbit,
+    y_labels) of its pairs (``pair_pattern``); its reference pair has
+    the labels as atoms, and its elements are that pair relabeled.
+    Orbit i is the i-th key of the list. ``product_set`` lists every
+    key of X x Y, in sorted order:
+
+    *Ordering lemma.* With x the reference element of a left orbit
+    (atoms 0..m-1), ``product_set`` meets the orbits of pairs (x, y) in
+    the order of their first tuples in ``orbit_tuples`` over the labels
+    0..m-1 and m..m+n-1, which come in lexicographic order. An orbit's
+    first tuple is its key's y labels: those labels are one of its
+    tuples there (x keeps 0..m-1 up to G_x, the other atoms are
+    numbered by first occurrence), and each of its tuples there is one
+    of the labelings the key minimizes over. So the keys come in sorted
+    order, and a sorted sublist of them numbers its orbits as the full
+    product does, restricted to them.
     """
 
-    def __init__(self, left, right, budget=None, orbit_cap=ORBIT_CAP):
-        budget = ensure_budget(budget)
+    def __init__(self, left, right, keys):
         self.left = left
         self.right = right
-        self._key_to_orbit = {}
+        self.patterns = tuple(keys)
+        self._key_to_orbit = {key: i for i, key in enumerate(self.patterns)}
+        self.factors = tuple((key[0], key[2]) for key in self.patterns)
         descriptors = []
-        patterns = []  # (x_orbit, x_labels, y_orbit, y_labels) per product orbit
-        factors = []
-        for i, xd in enumerate(left.orbits):
-            m = xd.dim
-            x_ref = Element(left, i, range(m))
-            for j, yd in enumerate(right.orbits):
-                n = yd.dim
-                for t in orbit_tuples(range(m), range(m, m + n), n):
-                    budget.tick()
-                    y = Element(right, j, t)
-                    key, _ren = pair_pattern(x_ref, y)
-                    if key in self._key_to_orbit:
-                        continue
-                    if len(descriptors) >= orbit_cap:
-                        raise CapExceeded(f"orbit cap {orbit_cap} exceeded in product")
-                    x_orbit, x_labels, y_orbit, y_labels = key
-                    d = len(set(x_labels) | set(y_labels))
-                    stab = self._stabilizer(x_orbit, x_labels, y_orbit, y_labels, d)
-                    self._key_to_orbit[key] = len(descriptors)
-                    descriptors.append(OrbitDescriptor(d, _group=stab))
-                    patterns.append(key)
-                    factors.append((i, j))
+        for x_orbit, x_labels, y_orbit, y_labels in self.patterns:
+            d = len(set(x_labels) | set(y_labels))
+            stab = self._stabilizer(x_orbit, x_labels, y_orbit, y_labels, d)
+            descriptors.append(OrbitDescriptor(d, _group=stab))
         self.set = OrbitFiniteSet(descriptors)
-        self.patterns = tuple(patterns)
-        self.factors = tuple(factors)
         self._pair_cache = {}
         self.proj_left = EquivariantMap(
-            self.set, left, [Assignment(p[0], p[1]) for p in patterns]
+            self.set, left, [Assignment(p[0], p[1]) for p in self.patterns]
         )
         self.proj_right = EquivariantMap(
-            self.set, right, [Assignment(p[2], p[3]) for p in patterns]
+            self.set, right, [Assignment(p[2], p[3]) for p in self.patterns]
         )
 
     def _stabilizer(self, x_orbit, x_labels, y_orbit, y_labels, d):
@@ -623,5 +614,25 @@ class ProductSet:
 
 
 def product_set(x_set, y_set, budget=None):
-    """Orbit enumeration of X x Y together with pairing/unpairing."""
-    return ProductSet(x_set, y_set, budget=budget)
+    """Every orbit of X x Y, with pairing and unpairing.
+
+    With x the reference element of a left orbit (atoms 0..m-1), the
+    orbits of pairs (x, y) are the Perm_{0..m-1}-orbits of y, so y runs
+    over ``orbit_tuples`` with the labels m..m+n-1 as fresh atoms (one
+    tick each), and a key is kept at its first tuple.
+    """
+    budget = ensure_budget(budget)
+    keys = {}
+    for i, xd in enumerate(x_set.orbits):
+        m = xd.dim
+        x_ref = Element(x_set, i, range(m))
+        for j, yd in enumerate(y_set.orbits):
+            n = yd.dim
+            for t in orbit_tuples(range(m), range(m, m + n), n):
+                budget.tick()
+                key, _ren = pair_pattern(x_ref, Element(y_set, j, t))
+                if key not in keys:
+                    if len(keys) >= ORBIT_CAP:
+                        raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in product")
+                    keys[key] = None
+    return ProductSet(x_set, y_set, keys)

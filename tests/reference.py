@@ -5,31 +5,43 @@ syntactic congruence as a greatest fixpoint on S-orbits of pairs, the
 least support of a subset in one transposition pass, S-orbits and
 product orbits by enumerating one tuple per orbit, product stabilizers
 from G_x x G_y, checks associativity on S-orbit representatives
-memoized per support, encodes S-orbit keys as integer labels, and
-refines, coarsens and complements subsets on those labels. These are
-the direct definitions those replaced, among them the Moore refinement
-over a context pool that computed the syntactic congruence, the sweeps
-over S-orbit representatives that re-expressed, complemented and hulled
-subsets, and the tagged (0, atom) / (1, k) S-orbit keys; the
-differential tests check the fast paths against them.
+memoized per support, encodes S-orbit keys as integer labels,
+refines, coarsens and complements subsets on those labels, and closes
+pairing images on pair patterns. These are the direct definitions those
+replaced, among them the Moore refinement over a context pool that
+computed the syntactic congruence, the sweeps over S-orbit
+representatives that re-expressed, complemented and hulled subsets, the
+tagged (0, atom) / (1, k) S-orbit keys, and the pairing image that
+built all of X x Y and re-multiplied every pair of reachable orbits in
+each round; the differential tests check the fast paths against them.
 """
 
+import itertools
 from itertools import permutations
 
+from nommon.bounds import BoundReport, JoinResult
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.fssets import FsSubset, member
 from nommon.kernel import apply_positions, min_coset
-from nommon.monoid import Congruence, MonoidReport
+from nommon.monoid import (
+    Congruence,
+    GeneratorMap,
+    MonoidReport,
+    monoid_from_concrete,
+    submonoid_generated,
+)
 from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
     GROUP_CAP,
     ORBIT_CAP,
     Element,
+    OrbitFiniteSet,
     act,
     check_map_well_defined,
     elements_with_support,
     injective_tuples,
     instantiate_s_key,
+    map_from_concrete,
     orbit_reps,
     pair_pattern as fast_pair_pattern,
     s_orbit_key,
@@ -439,3 +451,140 @@ def validate_monoid(m, budget=None):
                 if lhs != rhs:
                     failures.append(("associativity", (x, y, z, lhs, rhs)))
     return MonoidReport(failures)
+
+
+# --- s-boundedness and joins over the full product ------------------------
+
+
+def restrict_to_orbits(ambient, indices, unit, multiply):
+    """The monoid on a multiplication-closed union of ambient orbits,
+    under the given unit and multiply; ``ambient`` need not be a monoid's
+    carrier. Returns (monoid, embed, restrict), the element coercions
+    between its carrier and ``ambient``."""
+    selected = sorted(indices)
+    sub_set = OrbitFiniteSet([ambient.orbits[i] for i in selected])
+    to_sub = {f: s for s, f in enumerate(selected)}
+
+    def embed(x):
+        return Element(ambient, selected[x.orbit], x.tuple)
+
+    def restrict(y):
+        if y.orbit not in to_sub:
+            raise InvalidInput("orbit set is not multiplication-closed")
+        return Element(sub_set, to_sub[y.orbit], y.tuple)
+
+    mon = monoid_from_concrete(
+        sub_set, restrict(unit), lambda x, y: restrict(multiply(embed(x), embed(y)))
+    )
+    return mon, embed, restrict
+
+
+def _pairing_image(m1, m2, gen_pairs, budget):
+    """The submonoid of M1 x M2 generated by the given pairs.
+
+    Built without ever constructing the full product monoid: pair
+    orbits are closed under componentwise multiplication first (the
+    closure stays small even when the full product would not), and
+    only the reachable orbits get a monoid structure. The orbit of a
+    product u v depends only on the Perm_{supp u}-orbit of v, so v runs
+    over one tuple per such orbit (``orbit_tuples``, one tick each).
+
+    Returns (monoid, pairs, embed, restrict) with embed/restrict the
+    element-level coercions between the image carrier and X x Y.
+    """
+    from nommon.sets import Element, orbit_tuples, product_set
+
+    pairs = product_set(m1.carrier, m2.carrier, budget=budget)
+
+    def mult_pair(u, v):
+        x1, x2 = pairs.unpair(u)
+        y1, y2 = pairs.unpair(v)
+        return pairs.pair(m1.multiply(x1, y1), m2.multiply(x2, y2))
+
+    reachable = {pairs.pair(m1.unit, m2.unit).orbit}
+    reachable |= {pairs.pair(a, b).orbit for a, b in gen_pairs}
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.product(sorted(reachable), repeat=2):
+            di = pairs.set.orbits[i].dim
+            dj = pairs.set.orbits[j].dim
+            u = Element(pairs.set, i, range(di))
+            for t in orbit_tuples(range(di), range(di, di + dj), dj):
+                budget.tick()
+                w = mult_pair(u, Element(pairs.set, j, t))
+                if w.orbit not in reachable:
+                    reachable.add(w.orbit)
+                    changed = True
+    mon, embed, restrict = restrict_to_orbits(
+        pairs.set, reachable, pairs.pair(m1.unit, m2.unit), mult_pair
+    )
+    return mon, pairs, embed, restrict
+
+
+def is_s_bounded(h0, s, budget=None):
+    """Does supp h(w) stay below the bound for every word w?
+
+    The h-values form the submonoid generated by the letter images;
+    for a via-morphism bound the pairing with the reference evaluation
+    is generated instead and supp checked componentwise per orbit rep.
+    """
+    budget = ensure_budget(budget)
+    sigma = h0.sigma
+    letters = orbit_reps(sigma)
+    if s.variant == "constant":
+        sub = submonoid_generated(h0.monoid, [h0(x) for x in letters])
+        for r in orbit_reps(sub.monoid.carrier):
+            budget.tick()
+            # the h-value set is equivariant, so supp <= S for the whole
+            # orbit forces dim 0; a positive-dim orbit gives a witness
+            # once its atoms are pushed outside S
+            if r.tuple:
+                bad = sub.inclusion(r)
+                gen = fresh_stream(set(bad.tuple) | s.data)
+                for a in bad.tuple:
+                    if a in s.data:
+                        bad = act(Perm.swap(a, next(gen)), bad)
+                return BoundReport(False, bad)
+        return BoundReport(True)
+    q0 = s.data
+    if q0.sigma != sigma:
+        raise InvalidInput("bound and morphism have different alphabets")
+    gen_pairs = [(h0(x), q0(x)) for x in letters]
+    mon, pairs, embed, _restrict = _pairing_image(
+        h0.monoid, q0.monoid, gen_pairs, budget
+    )
+    for r in orbit_reps(mon.carrier):
+        budget.tick()
+        a, b = pairs.unpair(embed(r))
+        if not set(a.tuple) <= set(b.tuple):
+            return BoundReport(False, (a, b))
+    return BoundReport(True)
+
+
+def join_s_bounded(h1, h2, s, budget=None):
+    """The join of two quotients: coimage of their pairing.
+
+    The result is re-verified against the bound; the report rides
+    along (a failing report demonstrates a codirectedness failure).
+    """
+    budget = ensure_budget(budget)
+    if h1.sigma != h2.sigma:
+        raise InvalidInput("join needs a common alphabet")
+    gen_pairs = [(h1(x), h2(x)) for x in orbit_reps(h1.sigma)]
+    mon, pairs, embed, restrict = _pairing_image(
+        h1.monoid, h2.monoid, gen_pairs, budget
+    )
+    h0 = map_from_concrete(
+        h1.sigma,
+        mon.carrier,
+        lambda x: restrict(pairs.pair(h1(x), h2(x))),
+    )
+    genmap = GeneratorMap(h1.sigma, mon, h0)
+    from nommon.monoid import MonoidMorphism
+    from nommon.sets import compose_maps
+
+    embed_map = map_from_concrete(mon.carrier, pairs.set, embed)
+    left = MonoidMorphism(mon, h1.monoid, compose_maps(pairs.proj_left, embed_map))
+    right = MonoidMorphism(mon, h2.monoid, compose_maps(pairs.proj_right, embed_map))
+    return JoinResult(genmap, left, right, is_s_bounded(genmap, s, budget=budget))

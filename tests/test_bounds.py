@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+from nommon import bounds
 from nommon.bounds import (
     SupportBound,
+    _pairing_image,
     classify_quotient,
+    endpoints_bound,
     enumerate_s_bounded,
     eq_msr_predicate,
     factor_through,
@@ -15,7 +18,7 @@ from nommon.bounds import (
     recheck_msr_certificate,
 )
 from nommon.catalog import builder, catalog_quotient, letters_map
-from nommon.errors import InvalidInput
+from nommon.errors import Budget, CapExceeded, InvalidInput
 from nommon.monoid import (
     GeneratorMap,
     identity_morphism,
@@ -279,3 +282,100 @@ def test_factor_through_rejects_an_unequal_target_monoid():
     assert e.cod.carrier == h0.monoid.carrier
     with pytest.raises(InvalidInput):
         factor_through(h0, e, first_letter_bound())
+
+
+# --- budget contract and caps ---------------------------------------------
+
+
+def record_events(monkeypatch, m, budget):
+    """Log 'tick' for each tick of budget and, for each multiply in m,
+    'product' or 'hit' (the product was cached), in order."""
+    events = []
+    multiply, tick = m.multiply, budget.tick
+
+    def counted_multiply(x, y):
+        events.append("hit" if (x, y) in m._cache else "product")
+        return multiply(x, y)
+
+    def counted_tick(n=1):
+        events.append("tick")
+        tick(n)
+
+    monkeypatch.setattr(m, "multiply", counted_multiply)
+    budget.tick = counted_tick
+    return events
+
+
+def assert_one_tick_before_each_product(events):
+    between = 0
+    for e in events:
+        if e == "tick":
+            between = 0
+        else:
+            between += 1
+            assert between <= 1
+    assert "product" in events
+
+
+def products(events):
+    return sum(e != "tick" for e in events)
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [("pair_zero", first_letter_bound), ("barred", first_letter_bound),
+     ("cutoff2", endpoints_bound), ("l0_recognizer", endpoints_bound)],
+)
+def test_bounded_check_ticks_once_per_componentwise_product(monkeypatch, name, bound):
+    h, s = letters_map(name), bound()
+    budget = Budget()
+    events = record_events(monkeypatch, h.monoid, budget)
+    rep = is_s_bounded(h, s, budget=budget)
+    assert_one_tick_before_each_product(events)
+    # the closure's products, then one tick per reached orbit read (up
+    # to the first witness)
+    checks = budget.used - products(events)
+    reached = _pairing_image(h, s.data, Budget())
+    if rep.ok:
+        assert checks == len(reached.set.orbits)
+    else:
+        assert 0 < checks <= len(reached.set.orbits)
+
+
+@pytest.mark.parametrize(
+    "left,right,bound",
+    [("first_proj", "last_proj", first_letter_bound),
+     ("barred", "zero_adjoined", first_letter_bound),
+     ("cutoff2", "l0_recognizer", endpoints_bound)],
+)
+def test_join_ticks_once_per_componentwise_product(monkeypatch, left, right, bound):
+    h1, h2, s = letters_map(left), letters_map(right), bound()
+    budget = Budget()
+    events = record_events(monkeypatch, h1.monoid, budget)
+    build = bounds.componentwise_monoid
+
+    def marked(*args):
+        events.append("table")
+        return build(*args)
+
+    monkeypatch.setattr(bounds, "componentwise_monoid", marked)
+    jn = join_s_bounded(h1, h2, s, budget=budget)
+    cut = events.index("table")
+    closure, rest = events[:cut], events[cut + 1:]
+    assert_one_tick_before_each_product(closure)
+    # the join's table re-reads the closure's products; then the
+    # re-verification ticks on its own monoids
+    assert {e for e in rest if e != "tick"} == {"hit"}
+    recheck = Budget()
+    is_s_bounded(jn.genmap, s, budget=recheck)
+    assert budget.used == products(closure) + recheck.used
+
+
+def test_pairing_image_cap(monkeypatch):
+    h, s = letters_map("pair_zero"), first_letter_bound()
+    reached = len(_pairing_image(h, s.data, Budget()).set.orbits)
+    monkeypatch.setattr(bounds, "ORBIT_CAP", reached)
+    assert not is_s_bounded(h, s).ok
+    monkeypatch.setattr(bounds, "ORBIT_CAP", reached - 1)
+    with pytest.raises(CapExceeded):
+        is_s_bounded(h, s)

@@ -172,6 +172,35 @@ def test_syntactic_budget_exhaustion(capsys):
     assert "budget exhausted" in out
 
 
+def test_join_budget_exhaustion(capsys):
+    from nommon.bounds import first_letter_bound, join_s_bounded
+    from nommon.catalog import letters_map
+
+    full = Budget()
+    join_s_bounded(
+        letters_map("first_proj"), letters_map("last_proj"), first_letter_bound(),
+        budget=full,
+    )
+    assert full.used > 40
+    code, out = run(capsys, "join", "first_proj", "last_proj", "--budget", "40")
+    assert code == 3
+    assert "budget exhausted" in out
+
+
+def test_stage_budget_exhaustion(capsys):
+    from nommon.bounds import endpoints_bound
+    from nommon.prolimit import build_stage
+    from nommon.sets import atoms_set
+
+    full = Budget()
+    quotients = [catalog_language(n).genmap for n in ("first-a", "last-a", "l0")]
+    build_stage(atoms_set(), endpoints_bound(), quotients, budget=full)
+    assert full.used > 300
+    code, out = run(capsys, "stage", "first-a", "last-a", "l0", "--budget", "300")
+    assert code == 3
+    assert "budget exhausted" in out
+
+
 def test_unknown_language(capsys):
     code, out = run(capsys, "member", "nosuch", "a")
     assert code == 2

@@ -7,12 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from nommon.catalog import builder, catalog_names
+from nommon.bounds import (
+    SupportBound,
+    endpoints_bound,
+    first_letter_bound,
+    is_s_bounded,
+    join_s_bounded,
+)
+from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import Budget
 from nommon.fssets import FsSubset, _normalize, _refine, fs_boolean, hull, preimage_subset
 from nommon.kernel import min_coset
 from nommon.language import catalog_language, syntactic_congruence
 from nommon.monoid import (
+    GeneratorMap,
     NominalMonoid,
     coimage,
     enumerate_monoid_maps,
@@ -40,6 +48,7 @@ from nommon.sets import (
     s_orbit_reps,
     strong_set,
 )
+from nommon.textfmt import parse, serialize
 
 DETERMINISTIC = dict(deadline=None, derandomize=True, database=None)
 
@@ -545,3 +554,152 @@ def test_syntactic_congruence_on_unordered_pairs():
     assert cong.related(letter(2), letter(3))
     assert not cong.related(letter(0), letter(1))
     assert not cong.related(letter(0), letter(2))
+
+
+# --- pairing images: s-boundedness and joins ------------------------------
+
+LETTER_MAPS = (
+    "barred",
+    "cutoff1",
+    "cutoff2",
+    "first_proj",
+    "l0_recognizer",
+    "last_proj",
+    "pair_zero",
+    "trivial",
+    "zero_adjoined",
+)
+BOUNDS = {
+    "first-letter": first_letter_bound,
+    "endpoints": endpoints_bound,
+    "constant": lambda: SupportBound.constant(()),
+}
+
+
+def check_join(h1, h2, s):
+    """join_s_bounded and is_s_bounded against the full-product oracle,
+    plus a text round trip of the join."""
+    jn = join_s_bounded(h1, h2, s)
+    old = reference.join_s_bounded(h1, h2, s)
+    assert jn.monoid == old.monoid
+    assert jn.genmap == old.genmap
+    assert (jn.left, jn.right) == (old.left, old.right)
+    assert (jn.bound_report.ok, jn.bound_report.witness) == (
+        old.bound_report.ok, old.bound_report.witness
+    )
+    for h in (h1, h2):
+        rep, old_rep = is_s_bounded(h, s), reference.is_s_bounded(h, s)
+        assert (rep.ok, rep.witness) == (old_rep.ok, old_rep.witness)
+    doc = {"J": jn.monoid, "A": h1.monoid}
+    if h2.monoid is not h1.monoid:
+        doc["B"] = h2.monoid
+    doc.update(left=jn.left, right=jn.right)
+    text = serialize(doc)
+    back = parse(text)
+    assert back["J"] == jn.monoid
+    assert (back["left"].map, back["right"].map) == (jn.left.map, jn.right.map)
+    assert serialize(back) == text
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+@pytest.mark.parametrize("left", LETTER_MAPS)
+def test_join_matches_the_full_product_on_catalog_letter_maps(left, bound):
+    s = BOUNDS[bound]()
+    for right in LETTER_MAPS:
+        check_join(letters_map(left), letters_map(right), s)
+
+
+@pytest.mark.parametrize("name", LETTER_MAPS)
+def test_constant_bounds_read_the_closed_orbits(name):
+    # same witness and same ticks as the walk over the generated submonoid
+    h = letters_map(name)
+    for atoms in ((), (0,)):
+        s = SupportBound.constant(atoms)
+        fast, slow = Budget(), Budget()
+        rep = is_s_bounded(h, s, budget=fast)
+        old = reference.is_s_bounded(h, s, budget=slow)
+        assert (rep.ok, rep.witness) == (old.ok, old.witness)
+        assert fast.used == slow.used > 0
+
+
+# a letter orbit of each position group, beside the atoms
+SYMMETRIC_ALPHABETS = {
+    k: OrbitFiniteSet([OrbitDescriptor(1), SYMMETRIC.orbits[k]]) for k in (3, 4, 5, 6)
+}
+
+
+@settings(max_examples=60, **DETERMINISTIC)
+@given(st.data())
+def test_join_matches_the_full_product_on_position_groups(data):
+    k = data.draw(st.sampled_from(sorted(SYMMETRIC_ALPHABETS)))
+    sigma = SYMMETRIC_ALPHABETS[k]
+    monoids = [null_monoid(SYMMETRIC.orbits[k])]
+    if k == 3:
+        monoids.append(unordered_pair_zero())
+    m1, m2, m0 = (data.draw(st.sampled_from(monoids)) for _ in range(3))
+    h1 = data.draw(st.sampled_from(enumerate_monoid_maps(sigma, m1)))
+    h2 = data.draw(st.sampled_from(enumerate_monoid_maps(sigma, m2)))
+    s = data.draw(
+        st.one_of(
+            st.builds(SupportBound.via_morphism, st.sampled_from(enumerate_monoid_maps(sigma, m0))),
+            st.sampled_from([SupportBound.constant(()), SupportBound.constant((0, 1))]),
+        )
+    )
+    check_join(h1, h2, s)
+
+
+def test_product_orbits_come_in_sorted_key_order():
+    # the ordering lemma on ProductSet, on every carrier pair and on
+    # products with a product carrier as a factor
+    for left in CARRIERS:
+        for right in CARRIERS:
+            patterns = product_set(left, right).patterns
+            assert list(patterns) == sorted(patterns)
+    second = [
+        product_set(SYMMETRIC, SYMMETRIC).set,
+        product_set(builder("barred").carrier, SYMMETRIC).set,
+    ]
+    for left, name in product(second, LOW_BOUND):
+        right = builder(name).carrier
+        for x, y in ((left, right), (right, left)):
+            patterns = product_set(x, y).patterns
+            assert list(patterns) == sorted(patterns)
+    patterns = product_set(second[1], SYMMETRIC).patterns
+    assert list(patterns) == sorted(patterns)
+
+
+def one_product_monoid(left_first):
+    """1 + A + B + c + 0 with two letter orbits A and B: a.b = c for a in
+    A and b in B if left_first, else b.a = c; every other product of
+    non-units is 0. Only one order of the two generator orbits reaches c."""
+    atoms = OrbitDescriptor(1)
+    carrier = OrbitFiniteSet(
+        [OrbitDescriptor(0), atoms, atoms, OrbitDescriptor(0), OrbitDescriptor(0)]
+    )
+    unit, c, zero = (carrier.element(i, ()) for i in (0, 3, 4))
+    first, second = (1, 2) if left_first else (2, 1)
+
+    def mult(x, y):
+        if x == unit:
+            return y
+        if y == unit:
+            return x
+        return c if (x.orbit, y.orbit) == (first, second) else zero
+
+    return monoid_from_concrete(carrier, unit, mult)
+
+
+@pytest.mark.parametrize("left_first", [True, False])
+def test_join_matches_the_full_product_on_one_sided_products(left_first):
+    # the pairing image must multiply every ordered pair of orbits: the
+    # orbit of c is reached by one order only
+    m = one_product_monoid(left_first)
+    assert validate_monoid(m).ok
+    sigma = OrbitFiniteSet([OrbitDescriptor(1), OrbitDescriptor(1)])
+    h = GeneratorMap(
+        sigma, m, EquivariantMap(sigma, m.carrier, [Assignment(1, (0,)), Assignment(2, (0,))])
+    )
+    for other in enumerate_monoid_maps(sigma, m):
+        for s in (SupportBound.constant(()), SupportBound.via_morphism(other)):
+            check_join(h, other, s)
+            check_join(other, h, s)

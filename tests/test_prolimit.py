@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nommon import prolimit
 from nommon.bounds import endpoints_bound, first_letter_bound
 from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import InvalidInput
@@ -185,6 +186,24 @@ def test_extend_stage_refines():
     for t in words_upto(3):
         w = Word.of_atoms(t)
         assert refine(eta(new, w)) == eta(old, w)
+
+
+def test_stage_checks_each_quotient_once(monkeypatch):
+    # build_stage checks every quotient before joining it in, and
+    # extend_stage checks its own; the joins re-verify through bounds
+    checked = []
+    check = prolimit.is_s_bounded
+
+    def counted(q, s, budget=None):
+        checked.append(q)
+        return check(q, s, budget=budget)
+
+    monkeypatch.setattr(prolimit, "is_s_bounded", counted)
+    qs = stage_quotients()
+    stage = build_stage(atoms_set(), endpoints_bound(), qs)
+    assert checked == qs
+    extend_stage(stage, qs[0])
+    assert checked == qs + qs[:1]
 
 
 def test_stage_rejects_unbounded_quotient():
