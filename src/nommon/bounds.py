@@ -118,22 +118,12 @@ def first_letter_bound():
 
 
 def endpoints_bound():
-    """s(a1...an) = {a1, an}: supp of the (first, last) evaluation."""
-    from nommon.catalog import builder
-    from nommon.sets import atoms_set
+    """s(a1...an) = {a1, an}: supp of the (first, last) evaluation, the
+    join of the first- and last-letter maps (3 orbits), built per call."""
+    from nommon.catalog import letters_map
 
-    pm = product_monoid(builder("first_proj"), builder("last_proj"))
-    sigma = atoms_set()
-    h0 = map_from_concrete(
-        sigma,
-        pm.monoid.carrier,
-        lambda a: pm.pairs.pair(
-            Element(pm.pairs.left, 1, a.tuple), Element(pm.pairs.right, 1, a.tuple)
-        ),
-    )
-    return SupportBound.via_morphism(
-        GeneratorMap(sigma, pm.monoid, h0), label="endpoints"
-    )
+    jn = join(letters_map("first_proj"), letters_map("last_proj"))
+    return SupportBound.via_morphism(jn.genmap, label="endpoints")
 
 
 class BoundReport:
@@ -187,32 +177,48 @@ def is_s_bounded(h0, s, budget=None):
 
 
 class JoinResult:
-    """Coimage of a pairing: joined evaluation plus connecting morphisms."""
+    """Coimage of a pairing: joined evaluation, connecting morphisms and
+    ``pairs``, the reached orbits of X x Y; ``bound_report`` is None
+    unless ``join_s_bounded`` set it."""
 
-    def __init__(self, genmap, left, right, bound_report):
+    def __init__(self, genmap, left, right, bound_report, pairs):
         self.genmap = genmap
         self.monoid = genmap.monoid
         self.left = left
         self.right = right
         self.bound_report = bound_report
+        self.pairs = pairs
 
 
-def join_s_bounded(h1, h2, s, budget=None):
-    """The join of two quotients: coimage of their pairing.
+def join(h1, h2, budget=None):
+    """The join of two evaluations: the coimage of their pairing
+    <h1, h2>: Sigma* -> M1 x M2.
 
-    That is the componentwise monoid on the orbits of X x Y the pairing
-    reaches (``_pairing_image``), with its projections. The result is
-    re-verified against the bound; the report rides along (a failing
-    report demonstrates a codirectedness failure).
+    Only the orbits of X x Y the pairing reaches are built
+    (``_pairing_image``); the joined monoid multiplies them
+    componentwise, ``left`` and ``right`` are its projections, and a
+    letter goes to the pair of its two images. The closure and the
+    square of the reached orbits are charged to ``budget``.
     """
     budget = ensure_budget(budget)
     if h1.sigma != h2.sigma:
         raise InvalidInput("join needs a common alphabet")
     pairs = _pairing_image(h1, h2, budget)
-    pm = componentwise_monoid(h1.monoid, h2.monoid, pairs)
+    pm = componentwise_monoid(h1.monoid, h2.monoid, pairs, budget=budget)
     h0 = map_from_concrete(h1.sigma, pairs.set, lambda x: pairs.pair(h1(x), h2(x)))
     genmap = GeneratorMap(h1.sigma, pm.monoid, h0)
-    return JoinResult(genmap, pm.proj1, pm.proj2, is_s_bounded(genmap, s, budget=budget))
+    return JoinResult(genmap, pm.proj1, pm.proj2, None, pairs)
+
+
+def join_s_bounded(h1, h2, s, budget=None):
+    """The join of two s-bounded quotients (``join``), re-verified
+    against the bound s on the joined evaluation; the report rides
+    along (a failing report demonstrates a codirectedness failure).
+    """
+    budget = ensure_budget(budget)
+    jn = join(h1, h2, budget)
+    jn.bound_report = is_s_bounded(jn.genmap, s, budget=budget)
+    return jn
 
 
 # --- quotient classification ----------------------------------------------

@@ -7,6 +7,7 @@ boolean structure is computed on recognizers, and syntactic congruences
 on the S-orbits of pairs of M, for S the predicate's support.
 """
 
+from nommon.bounds import endpoints_bound, join
 from nommon.errors import InvalidInput, ensure_budget
 from nommon.fssets import FsSubset, _full_keys, fs_boolean
 from nommon.fssets import member as fs_member
@@ -17,7 +18,7 @@ from nommon.monoid import (
     congruence_generated,  # noqa: F401  (re-export convenience)
     Congruence,
     generating_orbits,
-    product_monoid,
+    monoid_from_concrete,
     quotient,
 )
 from nommon.sets import (
@@ -29,6 +30,7 @@ from nommon.sets import (
     map_from_concrete,
     s_orbit_key,
     s_orbit_reps,
+    strong_set,
 )
 
 
@@ -96,24 +98,19 @@ def member(lang, w):
 
 
 def language_boolean(op, l1, l2=None):
-    """Boolean combination, recognized through the pairing morphism."""
+    """Boolean combination. A complement keeps the recognizer; a binary
+    one is recognized by the join of the two recognizers (the image of
+    their pairing), with both predicates pulled back along its projections."""
     if op == "complement":
         return Language(l1.genmap, fs_boolean("complement", l1.predicate))
     if l2 is None:
         raise InvalidInput(f"operation {op} needs two languages")
     if l1.alphabet != l2.alphabet:
         raise InvalidInput("alphabet mismatch")
-    pm = product_monoid(l1.genmap.monoid, l2.genmap.monoid)
-    h0 = map_from_concrete(
-        l1.alphabet,
-        pm.monoid.carrier,
-        lambda x: pm.pairs.pair(l1.genmap(x), l2.genmap(x)),
-    )
-    u1 = preimage_subset(pm.pairs.proj_left, l1.predicate)
-    u2 = preimage_subset(pm.pairs.proj_right, l2.predicate)
-    return Language(
-        GeneratorMap(l1.alphabet, pm.monoid, h0), fs_boolean(op, u1, u2)
-    )
+    jn = join(l1.genmap, l2.genmap)
+    u1 = preimage_subset(jn.left.map, l1.predicate)
+    u2 = preimage_subset(jn.right.map, l2.predicate)
+    return Language(jn.genmap, fs_boolean(op, u1, u2))
 
 
 # --- syntactic monoids ----------------------------------------------------
@@ -232,6 +229,9 @@ def catalog_language(name):
     l0: some letter repeats adjacently. first-a / last-a: first (last)
     letter is the fixed atom 0. l2-fixed: words a w a for the fixed
     atom a = 0. l2-any: the union of a A* a over all atoms a.
+    The l2 recognizers join the endpoints evaluation with a length
+    counter 0 / 1 / 2-or-more, since the endpoints alone cannot tell a
+    from a...a: 4 orbits, accepting the value of the word a a.
     """
     from nommon.catalog import builder, letters_map
 
@@ -248,39 +248,19 @@ def catalog_language(name):
         a = Element(m.carrier, 1, [0])
         return Language(gm, FsSubset.singleton(a))
     if name in ("l2-fixed", "l2-any"):
-        from nommon.catalog import builder as b
-        from nommon.monoid import monoid_from_concrete
-        from nommon.sets import strong_set
-
-        pm = product_monoid(b("first_proj"), b("last_proj"))
-        # length tracker 0 / 1 / 2-or-more; P1 x P2 alone cannot tell a
-        # single letter a from a longer word a...a
         counter = strong_set([0, 0, 0])
         length = monoid_from_concrete(
             counter,
             Element(counter, 0, ()),
             lambda x, y: Element(counter, min(x.orbit + y.orbit, 2), ()),
         )
-        pm2 = product_monoid(pm.monoid, length)
         one = Element(counter, 1, ())
-        many = Element(counter, 2, ())
-
-        def letter(x):
-            fl = pm.pairs.pair(
-                Element(pm.pairs.left, 1, x.tuple), Element(pm.pairs.right, 1, x.tuple)
-            )
-            return pm2.pairs.pair(fl, one)
-
-        gm = GeneratorMap(
-            sigma, pm2.monoid, map_from_concrete(sigma, pm2.monoid.carrier, letter)
-        )
-        aa = pm.pairs.pair(
-            Element(pm.pairs.left, 1, [0]), Element(pm.pairs.right, 1, [0])
-        )
-        aa_long = pm2.pairs.pair(aa, many)
+        lengths = map_from_concrete(sigma, counter, lambda a: one)
+        gm = join(endpoints_bound().data, GeneratorMap(sigma, length, lengths)).genmap
+        aa_long = gm.eval_word(Word.of_atoms([0, 0]).letters)
         if name == "l2-fixed":
             pred = FsSubset.singleton(aa_long)
         else:
-            pred = FsSubset.from_elements(pm2.monoid.carrier, (), [aa_long])
+            pred = FsSubset.from_elements(gm.monoid.carrier, (), [aa_long])
         return Language(gm, pred)
     raise InvalidInput(f"unknown catalog language {name!r}")

@@ -76,13 +76,16 @@ class NominalMonoid:
         return f"NominalMonoid({len(self.carrier.orbits)} orbits)"
 
 
-def monoid_from_concrete(carrier, unit, mult_value, product=None):
+def monoid_from_concrete(carrier, unit, mult_value, product=None, budget=None):
     """Monoid whose multiplication is read off a concrete function.
 
     ``mult_value`` is evaluated once per product-orbit reference pair;
-    its results must stay inside the pair's atoms (equivariance).
+    its results must stay inside the pair's atoms (equivariance). The
+    enumeration of carrier x carrier, when no product is passed in, is
+    charged to ``budget``.
     """
-    product = product if product is not None else product_set(carrier, carrier)
+    if product is None:
+        product = product_set(carrier, carrier, budget=budget)
 
     def fn(e):
         x, y = product.unpair(e)
@@ -332,14 +335,17 @@ class ProductMonoidResult:
 
 
 def product_monoid(m, n, budget=None):
-    return componentwise_monoid(m, n, product_set(m.carrier, n.carrier, budget=budget))
+    budget = ensure_budget(budget)
+    pairs = product_set(m.carrier, n.carrier, budget=budget)
+    return componentwise_monoid(m, n, pairs, budget=budget)
 
 
-def componentwise_monoid(m, n, pairs):
+def componentwise_monoid(m, n, pairs, budget=None):
     """The monoid on ``pairs``, a ProductSet over the carriers of m and
     n, multiplied componentwise, with its projections. ``pairs`` may
     hold only some orbits of X x Y: a multiplication-closed union with
-    the unit pair's orbit."""
+    the unit pair's orbit. The square of ``pairs`` is enumerated on
+    ``budget``."""
     unit = pairs.pair(m.unit, n.unit)
 
     def mult_value(x, y):
@@ -347,7 +353,7 @@ def componentwise_monoid(m, n, pairs):
         y1, y2 = pairs.unpair(y)
         return pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
 
-    prod = monoid_from_concrete(pairs.set, unit, mult_value)
+    prod = monoid_from_concrete(pairs.set, unit, mult_value, budget=budget)
     proj1 = MonoidMorphism(prod, m, pairs.proj_left)
     proj2 = MonoidMorphism(prod, n, pairs.proj_right)
     return ProductMonoidResult(prod, pairs, proj1, proj2)

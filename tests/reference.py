@@ -13,21 +13,27 @@ computed the syntactic congruence, the sweeps over S-orbit
 representatives that re-expressed, complemented and hulled subsets, the
 tagged (0, atom) / (1, k) S-orbit keys, and the pairing image that
 built all of X x Y and re-multiplied every pair of reachable orbits in
-each round; the differential tests check the fast paths against them.
+each round. The l2 recognizers, the endpoints bound and binary boolean
+combinations were full product monoids, with letters paired by hand;
+they are joins now. The differential tests check the fast paths against
+these definitions.
 """
 
 import itertools
 from itertools import permutations
 
-from nommon.bounds import BoundReport, JoinResult
+from nommon.bounds import BoundReport, JoinResult, SupportBound
+from nommon.catalog import builder
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
-from nommon.fssets import FsSubset, member
+from nommon.fssets import FsSubset, fs_boolean, member, preimage_subset
 from nommon.kernel import apply_positions, min_coset
+from nommon.language import Language
 from nommon.monoid import (
     Congruence,
     GeneratorMap,
     MonoidReport,
     monoid_from_concrete,
+    product_monoid,
     submonoid_generated,
 )
 from nommon.perm import Perm, fresh_stream
@@ -37,6 +43,7 @@ from nommon.sets import (
     Element,
     OrbitFiniteSet,
     act,
+    atoms_set,
     check_map_well_defined,
     elements_with_support,
     injective_tuples,
@@ -46,6 +53,7 @@ from nommon.sets import (
     pair_pattern as fast_pair_pattern,
     s_orbit_key,
     s_orbit_reps as fast_s_orbit_reps,
+    strong_set,
 )
 
 
@@ -587,4 +595,76 @@ def join_s_bounded(h1, h2, s, budget=None):
     embed_map = map_from_concrete(mon.carrier, pairs.set, embed)
     left = MonoidMorphism(mon, h1.monoid, compose_maps(pairs.proj_left, embed_map))
     right = MonoidMorphism(mon, h2.monoid, compose_maps(pairs.proj_right, embed_map))
-    return JoinResult(genmap, left, right, is_s_bounded(genmap, s, budget=budget))
+    # the carrier is not a ProductSet here, so no ``pairs``
+    return JoinResult(genmap, left, right, is_s_bounded(genmap, s, budget=budget), None)
+
+
+# --- full product monoids with letters paired by hand ---------------------
+
+
+def endpoints_bound():
+    """s(a1...an) = {a1, an}: supp of the (first, last) evaluation into
+    all of P1 x P2 (5 orbits)."""
+    pm = product_monoid(builder("first_proj"), builder("last_proj"))
+    sigma = atoms_set()
+    h0 = map_from_concrete(
+        sigma,
+        pm.monoid.carrier,
+        lambda a: pm.pairs.pair(
+            Element(pm.pairs.left, 1, a.tuple), Element(pm.pairs.right, 1, a.tuple)
+        ),
+    )
+    return SupportBound.via_morphism(
+        GeneratorMap(sigma, pm.monoid, h0), label="endpoints"
+    )
+
+
+def l2_language(name):
+    """l2-fixed / l2-any recognized in (P1 x P2) x length (15 orbits)."""
+    pm = product_monoid(builder("first_proj"), builder("last_proj"))
+    # length tracker 0 / 1 / 2-or-more; P1 x P2 alone cannot tell a
+    # single letter a from a longer word a...a
+    counter = strong_set([0, 0, 0])
+    length = monoid_from_concrete(
+        counter,
+        Element(counter, 0, ()),
+        lambda x, y: Element(counter, min(x.orbit + y.orbit, 2), ()),
+    )
+    pm2 = product_monoid(pm.monoid, length)
+    one = Element(counter, 1, ())
+    many = Element(counter, 2, ())
+    sigma = atoms_set()
+
+    def letter(x):
+        fl = pm.pairs.pair(
+            Element(pm.pairs.left, 1, x.tuple), Element(pm.pairs.right, 1, x.tuple)
+        )
+        return pm2.pairs.pair(fl, one)
+
+    gm = GeneratorMap(
+        sigma, pm2.monoid, map_from_concrete(sigma, pm2.monoid.carrier, letter)
+    )
+    aa = pm.pairs.pair(Element(pm.pairs.left, 1, [0]), Element(pm.pairs.right, 1, [0]))
+    aa_long = pm2.pairs.pair(aa, many)
+    if name == "l2-fixed":
+        pred = FsSubset.singleton(aa_long)
+    else:
+        pred = FsSubset.from_elements(pm2.monoid.carrier, (), [aa_long])
+    return Language(gm, pred)
+
+
+def language_boolean(op, l1, l2=None):
+    """Boolean combination, recognized in the full product monoid."""
+    if op == "complement":
+        return Language(l1.genmap, fs_boolean("complement", l1.predicate))
+    pm = product_monoid(l1.genmap.monoid, l2.genmap.monoid)
+    h0 = map_from_concrete(
+        l1.alphabet,
+        pm.monoid.carrier,
+        lambda x: pm.pairs.pair(l1.genmap(x), l2.genmap(x)),
+    )
+    u1 = preimage_subset(pm.pairs.proj_left, l1.predicate)
+    u2 = preimage_subset(pm.pairs.proj_right, l2.predicate)
+    return Language(
+        GeneratorMap(l1.alphabet, pm.monoid, h0), fs_boolean(op, u1, u2)
+    )

@@ -25,7 +25,7 @@ from nommon.monoid import (
     product_monoid,
     validate_morphism,
 )
-from nommon.sets import Element, atoms_set, map_from_concrete
+from nommon.sets import Element, atoms_set, map_from_concrete, product_set
 
 
 def words_upto(n, atoms=(0, 1, 2)):
@@ -354,9 +354,9 @@ def test_join_ticks_once_per_componentwise_product(monkeypatch, left, right, bou
     events = record_events(monkeypatch, h1.monoid, budget)
     build = bounds.componentwise_monoid
 
-    def marked(*args):
+    def marked(*args, **kwargs):
         events.append("table")
-        return build(*args)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "componentwise_monoid", marked)
     jn = join_s_bounded(h1, h2, s, budget=budget)
@@ -366,9 +366,12 @@ def test_join_ticks_once_per_componentwise_product(monkeypatch, left, right, bou
     # the join's table re-reads the closure's products; then the
     # re-verification ticks on its own monoids
     assert {e for e in rest if e != "tick"} == {"hit"}
-    recheck = Budget()
+    # the table's enumeration of the square of the reached orbits and
+    # the re-verification are charged to the caller too
+    square, recheck = Budget(), Budget()
+    product_set(jn.monoid.carrier, jn.monoid.carrier, budget=square)
     is_s_bounded(jn.genmap, s, budget=recheck)
-    assert budget.used == products(closure) + recheck.used
+    assert budget.used == products(closure) + square.used + recheck.used
 
 
 def test_pairing_image_cap(monkeypatch):

@@ -1,24 +1,35 @@
 """Fast paths against the brute-force oracles in ``reference``."""
 
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from nommon import bounds
 from nommon.bounds import (
     SupportBound,
     endpoints_bound,
     first_letter_bound,
     is_s_bounded,
+    join,
     join_s_bounded,
 )
 from nommon.catalog import builder, catalog_names, letters_map
-from nommon.errors import Budget
+from nommon.errors import Budget, CapExceeded, InvalidInput
 from nommon.fssets import FsSubset, _normalize, _refine, fs_boolean, hull, preimage_subset
 from nommon.kernel import min_coset
-from nommon.language import catalog_language, syntactic_congruence
+from nommon.language import (
+    Word,
+    catalog_language,
+    language_boolean,
+    member,
+    syntactic_congruence,
+    syntactic_of_language,
+)
 from nommon.monoid import (
     GeneratorMap,
     NominalMonoid,
@@ -30,11 +41,13 @@ from nommon.monoid import (
     validate_monoid,
     validate_morphism,
 )
+from nommon.prolimit import build_stage
 from nommon.sets import (
     Assignment,
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    atoms_set,
     check_map_well_defined,
     coset_breakers,
     elements_with_support,
@@ -703,3 +716,168 @@ def test_join_matches_the_full_product_on_one_sided_products(left_first):
         for s in (SupportBound.constant(()), SupportBound.via_morphism(other)):
             check_join(h, other, s)
             check_join(other, h, s)
+
+
+# --- joins in place of full product monoids -------------------------------
+
+LANGUAGES = ("first-a", "last-a", "l0", "l2-fixed", "l2-any")
+# every word of length <= 5 over the atoms 0, 1, 2
+WORDS = [Word.of_atoms(t) for n in range(6) for t in product(range(3), repeat=n)]
+# for any two of these languages the square of the full product has more
+# than ORBIT_CAP orbits, so no full-product recognizer can be built
+WIDE = {"l0", "l2-fixed", "l2-any"}
+BINARY = {
+    "union": lambda a, b: a or b,
+    "intersect": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+}
+
+
+@pytest.mark.parametrize("name", ["l2-fixed", "l2-any"])
+def test_l2_joins_recognize_what_the_full_products_do(name):
+    lang, old = catalog_language(name), reference.l2_language(name)
+    assert len(lang.genmap.monoid.carrier.orbits) == 4
+    assert len(old.genmap.monoid.carrier.orbits) == 15
+    for w in WORDS:
+        assert member(lang, w) == member(old, w)
+
+
+def test_l2_joins_have_the_syntactic_monoids_of_the_full_products():
+    syn = syntactic_of_language(catalog_language("l2-any"))[1].monoid
+    old = syntactic_of_language(reference.l2_language("l2-any"))[1].monoid
+    assert find_isomorphism(syn, old) is not None
+    # l2-fixed is not equivariant, so neither recognizer has a quotient
+    for lang in (catalog_language("l2-fixed"), reference.l2_language("l2-fixed")):
+        with pytest.raises(InvalidInput):
+            syntactic_of_language(lang)
+
+
+@pytest.mark.parametrize("op", sorted(BINARY))
+@pytest.mark.parametrize("left", LANGUAGES)
+def test_boolean_joins_recognize_what_the_full_products_do(op, left):
+    l1 = catalog_language(left)
+    for right in LANGUAGES:
+        l2 = catalog_language(right)
+        lang = language_boolean(op, l1, l2)
+        if {left, right} <= WIDE:
+            with pytest.raises(CapExceeded):
+                reference.language_boolean(op, l1, l2)
+            old = None
+        else:
+            old = reference.language_boolean(op, l1, l2)
+        for w in WORDS:
+            expected = BINARY[op](member(l1, w), member(l2, w))
+            assert member(lang, w) == expected
+            if old is not None:
+                assert member(old, w) == expected
+
+
+@pytest.mark.parametrize("name", LANGUAGES)
+def test_complements_match_the_reference(name):
+    lang = catalog_language(name)
+    comp = language_boolean("complement", lang)
+    old = reference.language_boolean("complement", lang)
+    for w in WORDS:
+        assert member(comp, w) == member(old, w) == (not member(lang, w))
+
+
+@pytest.mark.parametrize("name", LETTER_MAPS + LANGUAGES)
+def test_endpoints_join_bounds_what_the_full_product_bounds(name):
+    h = letters_map(name) if name in LETTER_MAPS else catalog_language(name).genmap
+    s, old = endpoints_bound(), reference.endpoints_bound()
+    assert len(s.data.monoid.carrier.orbits) == 3
+    assert len(old.data.monoid.carrier.orbits) == 5
+    rep, old_rep = is_s_bounded(h, s), is_s_bounded(h, old)
+    assert rep.ok == old_rep.ok
+    if not rep.ok:
+        # the witness's bound side lives in the bound's own monoid
+        assert rep.witness[0] == old_rep.witness[0]
+
+
+def test_stages_serialize_as_over_the_full_products():
+    def genmap(name, old):
+        if old and name.startswith("l2"):
+            return reference.l2_language(name).genmap
+        return catalog_language(name).genmap
+
+    sigma = atoms_set()
+    for n in range(1, len(LANGUAGES) + 1):
+        for names in combinations(LANGUAGES, n):
+            stage = build_stage(
+                sigma, endpoints_bound(), [genmap(x, False) for x in names]
+            )
+            old = build_stage(
+                sigma, reference.endpoints_bound(), [genmap(x, True) for x in names]
+            )
+            assert serialize({"M": stage.monoid}) == serialize({"M": old.monoid})
+
+
+# --- properties of join ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def symmetric_maps(k):
+    """Every generator map from SYMMETRIC_ALPHABETS[k] into a monoid with
+    the k-th orbit of SYMMETRIC (Z/2, C3, S3 or Z/2 x Z/2)."""
+    sigma = SYMMETRIC_ALPHABETS[k]
+    monoids = [null_monoid(SYMMETRIC.orbits[k])]
+    if k == 3:
+        monoids.append(unordered_pair_zero())
+    return [h for m in monoids for h in enumerate_monoid_maps(sigma, m)]
+
+
+@lru_cache(maxsize=None)
+def short_words(sigma):
+    """Every word of length <= 3 over the letters with support in 0..d-1,
+    d the largest letter dimension."""
+    d = max(o.dim for o in sigma.orbits)
+    letters = elements_with_support(sigma, range(d))
+    return [w for n in range(4) for w in product(letters, repeat=n)]
+
+
+@st.composite
+def map_pairs(draw):
+    """Two generator maps on one alphabet: catalog letter maps, or maps
+    into monoids with a position-group orbit."""
+    if draw(st.booleans()):
+        return tuple(letters_map(draw(st.sampled_from(LETTER_MAPS))) for _ in range(2))
+    maps = symmetric_maps(draw(st.sampled_from(sorted(SYMMETRIC_ALPHABETS))))
+    return draw(st.sampled_from(maps)), draw(st.sampled_from(maps))
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(map_pairs())
+def test_join_with_itself_is_the_coimage(maps):
+    h = maps[0]
+    assert find_isomorphism(join(h, h).monoid, coimage(h)[0].monoid) is not None
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(map_pairs())
+def test_join_is_symmetric_up_to_isomorphism(maps):
+    h1, h2 = maps
+    assert find_isomorphism(join(h1, h2).monoid, join(h2, h1).monoid) is not None
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(map_pairs())
+def test_join_evaluates_to_the_pair_of_evaluations(maps):
+    h1, h2 = maps
+    jn = join(h1, h2)
+    assert jn.bound_report is None
+    for w in short_words(h1.sigma):
+        value = jn.genmap.eval_word(w)
+        assert jn.pairs.unpair(value) == (h1.eval_word(w), h2.eval_word(w))
+        assert (jn.left(value), jn.right(value)) == (h1.eval_word(w), h2.eval_word(w))
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(map_pairs())
+def test_join_raises_past_the_orbit_cap(maps):
+    h1, h2 = maps
+    reached = len(join(h1, h2).monoid.carrier.orbits)
+    with mock.patch.object(bounds, "ORBIT_CAP", reached):
+        join(h1, h2)
+    with mock.patch.object(bounds, "ORBIT_CAP", reached - 1):
+        with pytest.raises(CapExceeded):
+            join(h1, h2)

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from nommon.catalog import builder, catalog_names, letters_map
-from nommon.errors import InvalidInput
+from nommon.errors import Budget, InvalidInput
 from nommon.language import catalog_language
 from nommon.monoid import (
     Assignment,
@@ -36,7 +36,14 @@ from nommon.monoid import (
     validate_morphism,
 )
 from nommon.perm import Perm
-from nommon.sets import Element, act, atoms_set, elements_with_support, orbit_reps
+from nommon.sets import (
+    Element,
+    act,
+    atoms_set,
+    elements_with_support,
+    orbit_reps,
+    product_set,
+)
 
 
 ALL = [builder(name) for name in catalog_names()]
@@ -194,6 +201,16 @@ def test_p1_times_p2_has_five_orbits():
     assert validate_monoid(pm.monoid).ok
     assert validate_morphism(pm.proj1).ok
     assert validate_morphism(pm.proj2).ok
+
+
+def test_product_charges_both_enumerations_to_the_caller():
+    # X x Y, then the square of X x Y that its table is read off
+    m, n = builder("barred"), builder("zero_adjoined")
+    budget, pairs, square = Budget(), Budget(), Budget()
+    pm = product_monoid(m, n, budget=budget)
+    product_set(m.carrier, n.carrier, budget=pairs)
+    product_set(pm.monoid.carrier, pm.monoid.carrier, budget=square)
+    assert budget.used == pairs.used + square.used > pairs.used > 0
 
 
 def test_pairing_is_a_morphism():
