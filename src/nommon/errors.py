@@ -33,9 +33,6 @@ class Budget:
         if self.used > self.limit:
             raise BudgetExhausted(f"work budget of {self.limit} exhausted")
 
-    def remaining(self):
-        return max(0, self.limit - self.used)
-
 
 def ensure_budget(budget):
     return budget if budget is not None else Budget()

@@ -28,7 +28,7 @@ coarsens to S. Each key operation ticks the budget once.
 
 from functools import lru_cache
 
-from nommon.errors import Budget, InvalidInput, ensure_budget
+from nommon.errors import InvalidInput, ensure_budget
 from nommon.perm import fresh_stream
 from nommon.sets import (
     act,
@@ -74,11 +74,6 @@ class FsSubset:
     @staticmethod
     def empty(carrier):
         return FsSubset(carrier, frozenset(), frozenset(), _normalized=True)
-
-    @staticmethod
-    def full(carrier):
-        keys = _full_keys(carrier, 0, Budget())
-        return FsSubset(carrier, frozenset(), keys, _normalized=True)
 
     @staticmethod
     def singleton(x):

@@ -15,7 +15,6 @@ from nommon.fssets import preimage_subset
 from nommon.monoid import (
     GeneratorMap,
     coimage,
-    congruence_generated,  # noqa: F401  (re-export convenience)
     Congruence,
     generating_orbits,
     monoid_from_concrete,

@@ -11,7 +11,6 @@ import itertools
 from math import factorial
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
-from nommon.fssets import FsSubset
 from nommon.fssets import member as fs_member
 from nommon.perm import Perm, extend_injection, fresh_stream
 from nommon.sets import (
@@ -21,6 +20,8 @@ from nommon.sets import (
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    ProductSet,
+    Report,
     act,
     check_map_well_defined,
     coset_breakers,
@@ -95,25 +96,6 @@ def monoid_from_concrete(carrier, unit, mult_value, product=None, budget=None):
     return NominalMonoid(carrier, unit, mult, product)
 
 
-class MonoidReport:
-    """Validation outcome; failures are (kind, witness) pairs."""
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "MonoidReport(ok)"
-        return f"MonoidReport(failures={list(self.failures)})"
-
-
 def validate_monoid(m, budget=None):
     """Check the monoid axioms on canonical representatives.
 
@@ -163,7 +145,7 @@ def validate_monoid(m, budget=None):
                 rhs = m.multiply(x, m.multiply(y, z))
                 if lhs != rhs:
                     failures.append(("associativity", (x, y, z, lhs, rhs)))
-    return MonoidReport(failures)
+    return Report(failures)
 
 
 # --- powers ---------------------------------------------------------------
@@ -303,7 +285,7 @@ def validate_morphism(h, budget=None):
         rhs = h.cod.multiply(h(x), h(y))
         if lhs != rhs:
             failures.append(("mult", (x, y, lhs, rhs)))
-    return MonoidReport(failures)
+    return Report(failures)
 
 
 def identity_morphism(m):
@@ -357,18 +339,6 @@ def componentwise_monoid(m, n, pairs, budget=None):
     proj1 = MonoidMorphism(prod, m, pairs.proj_left)
     proj2 = MonoidMorphism(prod, n, pairs.proj_right)
     return ProductMonoidResult(prod, pairs, proj1, proj2)
-
-
-def pair_morphisms(h1, h2, pm=None):
-    """The pairing <h1, h2> into the product of the codomains."""
-    if h1.dom != h2.dom:
-        raise InvalidInput("pairing needs a common domain")
-    if pm is None:
-        pm = product_monoid(h1.cod, h2.cod)
-    emap = map_from_concrete(
-        h1.dom.carrier, pm.monoid.carrier, lambda x: pm.pairs.pair(h1(x), h2(x))
-    )
-    return MonoidMorphism(h1.dom, pm.monoid, emap), pm
 
 
 # --- generator maps into a monoid (free-monoid morphisms) -----------------
@@ -496,6 +466,11 @@ def submonoid_from_orbits(m, indices):
 
     The submonoid's carrier lists the selected orbits in index order;
     ``restrict`` and the inclusion coerce elements between it and m.
+    Its table is m's own, restricted: the product orbits whose factor
+    orbits are both selected, renumbered in order, keep their
+    assignments. By the ordering lemma on ``ProductSet`` these keys are
+    those ``product_set`` lists for the submonoid's carrier, in its
+    order, so nothing is multiplied or enumerated.
     """
     if m.unit.orbit not in indices:
         raise InvalidInput("a submonoid must contain the unit orbit")
@@ -503,18 +478,25 @@ def submonoid_from_orbits(m, indices):
     sub_set = OrbitFiniteSet([m.carrier.orbits[i] for i in selected])
     to_sub = {f: s for s, f in enumerate(selected)}
 
-    def embed(x):
-        return Element(m.carrier, selected[x.orbit], x.tuple)
-
     def restrict(y):
         if y.orbit not in to_sub:
             raise InvalidInput("orbit set is not multiplication-closed")
         return Element(sub_set, to_sub[y.orbit], y.tuple)
 
-    sub = monoid_from_concrete(
-        sub_set, restrict(m.unit), lambda x, y: restrict(m.multiply(embed(x), embed(y)))
+    keys = []
+    table = []
+    for (i, x_labels, j, y_labels), a in zip(m.product.patterns, m.mult.assignment):
+        if i in to_sub and j in to_sub:
+            if a.orbit not in to_sub:
+                raise InvalidInput("orbit set is not multiplication-closed")
+            keys.append((to_sub[i], x_labels, to_sub[j], y_labels))
+            table.append(Assignment(to_sub[a.orbit], a.posmap))
+    product = ProductSet(sub_set, sub_set, keys)
+    mult = EquivariantMap(product.set, sub_set, table)
+    sub = NominalMonoid(sub_set, restrict(m.unit), mult, product)
+    incl = EquivariantMap(
+        sub_set, m.carrier, [Assignment(f, range(m.carrier.orbits[f].dim)) for f in selected]
     )
-    incl = map_from_concrete(sub_set, m.carrier, embed)
     return SubMonoid(sub, MonoidMorphism(sub, m, incl), selected, restrict)
 
 
@@ -538,21 +520,6 @@ def coimage(genmap):
     return GeneratorMap(genmap.sigma, sub.monoid, h0), sub.inclusion
 
 
-def image_factorization(h):
-    """h = inclusion after surjection-onto-image."""
-    image_orbits = {h.map.assignment[i].orbit for i in range(len(h.dom.carrier.orbits))}
-    image_orbits.add(h.cod.unit.orbit)
-    sub = submonoid_from_orbits(h.cod, image_orbits)
-    e = MonoidMorphism(
-        h.dom,
-        sub.monoid,
-        map_from_concrete(
-            h.dom.carrier, sub.monoid.carrier, lambda x: sub.restrict(h(x))
-        ),
-    )
-    return e, sub.inclusion
-
-
 # --- congruences and quotients --------------------------------------------
 
 
@@ -567,113 +534,6 @@ class Congruence:
 
     def related(self, x, y):
         return fs_member(self.pairs, self.monoid.product.pair(x, y))
-
-
-def check_congruence(cong, budget=None):
-    """Spot-check the congruence laws on a concrete pool."""
-    budget = ensure_budget(budget)
-    m = cong.monoid
-    k = m.carrier.bound
-    pool = sorted(cong.pairs.support)
-    gen = fresh_stream(pool)
-    pool = pool + [next(gen) for _ in range(2 * k)]
-    elems = elements_with_support(m.carrier, pool, budget=budget)
-    failures = []
-    for x in elems:
-        if not cong.related(x, x):
-            failures.append(("reflexive", x))
-    for x, y in itertools.combinations(elems, 2):
-        budget.tick()
-        if cong.related(x, y) != cong.related(y, x):
-            failures.append(("symmetric", (x, y)))
-    related_pairs = [
-        (x, y) for x in elems for y in elems if x != y and cong.related(x, y)
-    ]
-    for (x, y), z in itertools.product(related_pairs, elems):
-        budget.tick()
-        if cong.related(y, z) and not cong.related(x, z):
-            failures.append(("transitive", (x, y, z)))
-        if not cong.related(m.multiply(x, z), m.multiply(y, z)):
-            failures.append(("right-compatible", (x, y, z)))
-        if not cong.related(m.multiply(z, x), m.multiply(z, y)):
-            failures.append(("left-compatible", (x, y, z)))
-    return MonoidReport(failures)
-
-
-def congruence_generated(m, seeds, budget=None):
-    """Least monoid congruence containing the seed pairs.
-
-    Closure runs over the concrete elements supported by the seeds'
-    atoms plus 2k fresh ones; equivariance makes that pool complete for
-    the orbit patterns the relation can distinguish.
-    """
-    budget = ensure_budget(budget)
-    k = m.carrier.bound
-    pool = sorted({a for x, y in seeds for a in x.tuple + y.tuple})
-    gen = fresh_stream(pool)
-    pool = pool + [next(gen) for _ in range(2 * k)]
-    elems = elements_with_support(m.carrier, pool, budget=budget)
-    index = {e: i for i, e in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            return True
-        return False
-
-    for x, y in seeds:
-        union(index[x], index[y])
-
-    swaps = [Perm.swap(a, b) for a, b in itertools.combinations(pool, 2)]
-    changed = True
-    while changed:
-        changed = False
-        # equivariance: a class's image under a pool transposition is
-        # contained in one class
-        for pi in swaps:
-            classes = {}
-            for i, e in enumerate(elems):
-                classes.setdefault(find(i), []).append(e)
-            for members in classes.values():
-                images = [index[act(pi, e)] for e in members]
-                for i in images[1:]:
-                    if union(images[0], i):
-                        changed = True
-        # compatibility with multiplication by pool elements
-        classes = {}
-        for i, e in enumerate(elems):
-            classes.setdefault(find(i), []).append(e)
-        for members in classes.values():
-            rep = members[0]
-            for e in members[1:]:
-                for c in elems:
-                    budget.tick()
-                    if union(index[m.multiply(rep, c)], index[m.multiply(e, c)]):
-                        changed = True
-                    if union(index[m.multiply(c, rep)], index[m.multiply(c, e)]):
-                        changed = True
-
-    pairs = []
-    classes = {}
-    for i, e in enumerate(elems):
-        classes.setdefault(find(i), []).append(e)
-    for members in classes.values():
-        for x in members:
-            for y in members:
-                budget.tick()
-                pairs.append(m.product.pair(x, y))
-    # closure under all pool transpositions makes the relation equivariant,
-    # so its pair set needs no support
-    subset = FsSubset.from_elements(m.product.set, (), pairs)
-    return Congruence(m, subset)
 
 
 class QuotientResult:
@@ -772,7 +632,7 @@ def quotient(m, cong, budget=None):
         ly = lift(qy, avoid=lx.tuple)
         return proj_map(m.multiply(lx, ly))
 
-    q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value)
+    q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value, budget=budget)
     projection = MonoidMorphism(m, q_monoid, proj_map)
     return QuotientResult(q_monoid, projection, proj_map)
 

@@ -30,10 +30,6 @@ class Perm:
             return Perm({})
         return Perm({a: b, b: a})
 
-    @staticmethod
-    def from_pairs(pairs):
-        return Perm(dict(pairs))
-
     def __call__(self, atom):
         return self._map.get(atom, atom)
 
@@ -44,9 +40,6 @@ class Perm:
     def moved(self):
         """The atoms this permutation moves."""
         return frozenset(self._map)
-
-    def inverse(self):
-        return Perm({b: a for a, b in self._map.items()})
 
     def compose(self, other):
         """self after other: (self.compose(other))(a) = self(other(a))."""

@@ -12,7 +12,7 @@ from itertools import islice, permutations
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.kernel import apply_positions, min_coset
-from nommon.perm import Perm, fresh_stream
+from nommon.perm import fresh_stream
 
 GROUP_CAP = 720
 ORBIT_CAP = 4000
@@ -139,59 +139,13 @@ def act(pi, x):
     return Element(x.set, x.orbit, pi.apply_tuple(x.tuple))
 
 
-def least_support(x):
-    """supp(x): exactly the atoms of the canonical tuple."""
-    return frozenset(x.tuple)
-
-
-def support_by_transpositions(x):
-    """Least support recomputed by the fresh-transposition test (oracle path)."""
-    atoms = set(x.tuple)
-    b = next(fresh_stream(atoms))
-    return frozenset(a for a in atoms if act(Perm.swap(a, b), x) != x)
-
-
 def strong_set(dims):
     """Coproduct of orbits A^{#n} with trivial position groups."""
     return OrbitFiniteSet([OrbitDescriptor(n) for n in dims])
 
 
-def unit_set():
-    return strong_set([0])
-
-
 def atoms_set():
     return strong_set([1])
-
-
-class Injection:
-    """Coproduct injection: shifts orbit indices."""
-
-    def __init__(self, source, target, offset):
-        self.source = source
-        self.target = target
-        self.offset = offset
-
-    def __call__(self, x):
-        return Element(self.target, x.orbit + self.offset, x.tuple)
-
-    def preimage(self, y):
-        lo = self.offset
-        hi = self.offset + len(self.source.orbits)
-        if not (lo <= y.orbit < hi):
-            return None
-        return Element(self.source, y.orbit - lo, y.tuple)
-
-
-def coproduct_set(x_set, y_set):
-    """Disjoint union of orbit lists, with the two injections."""
-    total = OrbitFiniteSet(x_set.orbits + y_set.orbits)
-    return total, Injection(x_set, total, 0), Injection(y_set, total, len(x_set.orbits))
-
-
-def injective_tuples(pool, n):
-    """All injective n-tuples over the pool (a sequence of atoms)."""
-    return permutations(pool, n)
 
 
 def orbit_tuples(support, fresh, n):
@@ -201,8 +155,8 @@ def orbit_tuples(support, fresh, n):
     least n of them to reach every orbit. Two injective tuples lie in
     one Perm_S-orbit iff they agree on the positions holding S-atoms;
     the tuple given for an orbit takes its fresh atoms in order, which
-    makes it the orbit's first tuple in ``injective_tuples(support +
-    fresh, n)``, and the tuples come in that order.
+    makes it the orbit's first tuple in ``permutations(support + fresh,
+    n)``, and the tuples come in that order.
     """
     support = tuple(support)
     fresh = tuple(fresh)
@@ -229,7 +183,7 @@ def elements_with_support(owner, support, budget=None):
     for i, desc in enumerate(owner.orbits):
         if desc.dim > len(pool):
             continue
-        for t in injective_tuples(pool, desc.dim):
+        for t in permutations(pool, desc.dim):
             budget.tick()
             e = Element(owner, i, t)
             if e not in seen_set:
@@ -444,8 +398,9 @@ def compose_maps(g, f):
     return EquivariantMap(f.source, g.target, assignment)
 
 
-class MapReport:
-    """Validation outcome with offending (orbit, generator) witnesses."""
+class Report:
+    """Validation outcome: the failures found, as pairs such as (kind,
+    witness) or (orbit, generator); it holds when there are none."""
 
     def __init__(self, failures):
         self.failures = tuple(failures)
@@ -459,8 +414,8 @@ class MapReport:
 
     def __repr__(self):
         if self.ok:
-            return "MapReport(ok)"
-        return f"MapReport(failures={list(self.failures)})"
+            return "Report(ok)"
+        return f"Report(failures={list(self.failures)})"
 
 
 def coset_breakers(posmap, source_group, target_group):
@@ -476,7 +431,7 @@ def coset_breakers(posmap, source_group, target_group):
 def check_map_well_defined(f):
     """A map is well defined iff every source-group element keeps the
     assigned target tuple in its target coset."""
-    return MapReport(
+    return Report(
         (src_idx, g)
         for src_idx, a in enumerate(f.assignment)
         for g in coset_breakers(

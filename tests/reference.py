@@ -6,16 +6,20 @@ least support of a subset in one transposition pass, S-orbits and
 product orbits by enumerating one tuple per orbit, product stabilizers
 from G_x x G_y, checks associativity on S-orbit representatives
 memoized per support, encodes S-orbit keys as integer labels,
-refines, coarsens and complements subsets on those labels, and closes
-pairing images on pair patterns. These are the direct definitions those
+refines, coarsens and complements subsets on those labels, closes
+pairing images on pair patterns, and restricts an ambient monoid's
+table to a submonoid's orbits. These are the direct definitions those
 replaced, among them the Moore refinement over a context pool that
 computed the syntactic congruence, the sweeps over S-orbit
 representatives that re-expressed, complemented and hulled subsets, the
-tagged (0, atom) / (1, k) S-orbit keys, and the pairing image that
+tagged (0, atom) / (1, k) S-orbit keys, the pairing image that
 built all of X x Y and re-multiplied every pair of reachable orbits in
-each round. The l2 recognizers, the endpoints bound and binary boolean
-combinations were full product monoids, with letters paired by hand;
-they are joins now. The differential tests check the fast paths against
+each round, and the concrete submonoid path that enumerated the
+submonoid's square and multiplied each of its orbit pairs in the
+ambient monoid again. The fresh-transposition test checks that an
+element's least support is its canonical tuple's atoms. The l2
+recognizers, the endpoints bound and binary boolean combinations were
+full product monoids, with letters paired by hand; they are joins now. The differential tests check the fast paths against
 these definitions.
 """
 
@@ -31,7 +35,8 @@ from nommon.language import Language
 from nommon.monoid import (
     Congruence,
     GeneratorMap,
-    MonoidReport,
+    MonoidMorphism,
+    SubMonoid,
     monoid_from_concrete,
     product_monoid,
     submonoid_generated,
@@ -42,11 +47,11 @@ from nommon.sets import (
     ORBIT_CAP,
     Element,
     OrbitFiniteSet,
+    Report,
     act,
     atoms_set,
     check_map_well_defined,
     elements_with_support,
-    injective_tuples,
     instantiate_s_key,
     map_from_concrete,
     orbit_reps,
@@ -98,6 +103,14 @@ def instantiate_tagged_key(owner, key, support):
                 fresh_atoms[v] = next(fresh)
             atoms.append(fresh_atoms[v])
     return Element(owner, orbit_index, atoms)
+
+
+def support_by_transpositions(x):
+    """Least support of x by the fresh-transposition test: the atoms a
+    whose swap with an atom b outside supp x moves x."""
+    atoms = set(x.tuple)
+    b = next(fresh_stream(atoms))
+    return frozenset(a for a in atoms if act(Perm.swap(a, b), x) != x)
 
 
 def joint_atoms(x, y):
@@ -278,7 +291,7 @@ def _s_orbit_meets(c, s, u, budget):
     pool = sorted(set(u.support) - s)
     gen = fresh_stream(set(u.support) | s | set(c.tuple))
     pool += [next(gen) for _ in range(n_free)]
-    for target in injective_tuples(pool, n_free):
+    for target in permutations(pool, n_free):
         budget.tick()
         if set(target) & set(fixed):
             continue
@@ -334,7 +347,7 @@ def s_orbit_reps(owner, support, budget=None):
         for _ in range(n):
             fresh.append(next(gen))
         pool = s + fresh
-        for t in injective_tuples(pool, n):
+        for t in permutations(pool, n):
             budget.tick()
             e = Element(owner, i, t)
             key = tagged_s_orbit_key(e, s)
@@ -358,7 +371,7 @@ def product_orbits(left, right, budget=None, orbit_cap=ORBIT_CAP):
         x_ref = Element(left, i, range(m))
         for j, yd in enumerate(right.orbits):
             n = yd.dim
-            for t in injective_tuples(range(m + n), n):
+            for t in permutations(range(m + n), n):
                 budget.tick()
                 y = Element(right, j, t)
                 key, _ren = fast_pair_pattern(x_ref, y)
@@ -422,7 +435,7 @@ def validate_monoid_unmemoized(m, budget=None):
                 rhs = m.multiply(x, m.multiply(y, z))
                 if lhs != rhs:
                     failures.append(("associativity", (x, y, z, lhs, rhs)))
-    return MonoidReport(failures)
+    return Report(failures)
 
 
 def validate_monoid(m, budget=None):
@@ -458,7 +471,7 @@ def validate_monoid(m, budget=None):
                 rhs = m.multiply(x, m.multiply(y, z))
                 if lhs != rhs:
                     failures.append(("associativity", (x, y, z, lhs, rhs)))
-    return MonoidReport(failures)
+    return Report(failures)
 
 
 # --- s-boundedness and joins over the full product ------------------------
@@ -485,6 +498,17 @@ def restrict_to_orbits(ambient, indices, unit, multiply):
         sub_set, restrict(unit), lambda x, y: restrict(multiply(embed(x), embed(y)))
     )
     return mon, embed, restrict
+
+
+def submonoid_from_orbits(m, indices):
+    """A multiplication-closed union of m's orbits as a monoid whose
+    table is enumerated and multiplied afresh in m, with its inclusion
+    read off concrete elements."""
+    if m.unit.orbit not in indices:
+        raise InvalidInput("a submonoid must contain the unit orbit")
+    sub, embed, restrict = restrict_to_orbits(m.carrier, indices, m.unit, m.multiply)
+    incl = map_from_concrete(sub.carrier, m.carrier, embed)
+    return SubMonoid(sub, MonoidMorphism(sub, m, incl), sorted(indices), restrict)
 
 
 def _pairing_image(m1, m2, gen_pairs, budget):

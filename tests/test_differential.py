@@ -1,5 +1,6 @@
 """Fast paths against the brute-force oracles in ``reference``."""
 
+import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from unittest import mock
@@ -33,11 +34,13 @@ from nommon.language import (
 from nommon.monoid import (
     GeneratorMap,
     NominalMonoid,
+    closed_orbit_indices,
     coimage,
     enumerate_monoid_maps,
     find_isomorphism,
     monoid_from_concrete,
     product_monoid,
+    submonoid_from_orbits,
     validate_monoid,
     validate_morphism,
 )
@@ -51,7 +54,6 @@ from nommon.sets import (
     check_map_well_defined,
     coset_breakers,
     elements_with_support,
-    injective_tuples,
     instantiate_s_key,
     orbit_reps,
     orbit_tuples,
@@ -195,7 +197,7 @@ def test_syntactic_classes_l2_any():
     g, incl = coimage(lang.genmap)
     p = preimage_subset(incl.map, lang.predicate)
     cong = assert_congruence_matches(g.monoid, p)
-    assert cong.pairs != FsSubset.full(g.monoid.product.set)
+    assert cong.pairs != fs_boolean("complement", FsSubset.empty(g.monoid.product.set))
 
 
 def test_syntactic_classes_need_two_sided_contexts():
@@ -267,7 +269,7 @@ def test_normalize_drops_every_atom_of_the_full_subset():
     keys = frozenset(s_orbit_key(r, support) for r in s_orbit_reps(carrier, support))
     full = FsSubset(carrier, support, keys)
     assert full.support == frozenset()
-    assert full == FsSubset.full(carrier)
+    assert full == fs_boolean("complement", FsSubset.empty(carrier))
     assert (full.support, full.keys) == reference.normalize(carrier, support, keys)
 
 
@@ -346,7 +348,7 @@ def test_element_tuple_is_least_over_the_whole_group(data):
 def test_orbit_tuples_are_the_first_tuple_of_each_orbit(support, fresh, n):
     # Perm_S keeps exactly the S-atoms of a tuple and where they sit
     firsts = {}
-    for t in injective_tuples(support + fresh, n):
+    for t in permutations(support + fresh, n):
         firsts.setdefault(tuple(a if a in support else None for a in t), t)
     assert list(orbit_tuples(support, fresh, n)) == list(firsts.values())
 
@@ -881,3 +883,59 @@ def test_join_raises_past_the_orbit_cap(maps):
     with mock.patch.object(bounds, "ORBIT_CAP", reached - 1):
         with pytest.raises(CapExceeded):
             join(h1, h2)
+
+
+# --- submonoids read off the ambient table --------------------------------
+
+SUBMONOID_AMBIENTS = (
+    [builder(name) for name in catalog_names()]
+    + [catalog_language(name).genmap.monoid for name in ("l0", "first-a", "last-a", "l2-fixed", "l2-any")]
+    + [null_monoid(SYMMETRIC.orbits[k]) for k in sorted(SYMMETRIC_ALPHABETS)]
+    + [unordered_pair_zero()]
+)
+SYMMETRIC_PRODUCT = product_monoid(unordered_pair_zero(), null_monoid(SYMMETRIC.orbits[3])).monoid
+
+
+def check_submonoid(m, indices):
+    """submonoid_from_orbits against the concrete path: the same
+    monoid, product keys in the same order, inclusion and restriction,
+    or the same InvalidInput."""
+    try:
+        want = reference.submonoid_from_orbits(m, indices)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput, match=re.escape(str(exc))):
+            submonoid_from_orbits(m, indices)
+        return
+    got = submonoid_from_orbits(m, indices)
+    assert got.monoid == want.monoid
+    assert got.monoid.product.patterns == want.monoid.product.patterns
+    assert got.inclusion == want.inclusion
+    assert got.orbit_indices == want.orbit_indices
+    for x in orbit_reps(m.carrier):
+        if x.orbit in got.orbit_indices:
+            assert got.restrict(x) == want.restrict(x)
+            assert got.inclusion(got.restrict(x)) == x
+
+
+def test_submonoid_matches_the_concrete_path_on_every_closed_orbit_set():
+    checked = 0
+    for m in SUBMONOID_AMBIENTS:
+        n = len(m.carrier.orbits)
+        for r in range(1, n + 1):
+            for indices in combinations(range(n), r):
+                if closed_orbit_indices(m, indices) == frozenset(indices):
+                    check_submonoid(m, indices)
+                    checked += 1
+    assert checked == 61
+
+
+@settings(max_examples=150, **DETERMINISTIC)
+@given(st.data())
+def test_submonoid_matches_the_concrete_path_on_any_orbit_set(data):
+    # most orbit sets are not multiplication-closed or miss the unit;
+    # the product of two position-group monoids has 15 orbits
+    m = data.draw(st.sampled_from(SUBMONOID_AMBIENTS + [SYMMETRIC_PRODUCT]))
+    indices = data.draw(st.sets(st.sampled_from(range(len(m.carrier.orbits)))))
+    if data.draw(st.booleans()):
+        indices = closed_orbit_indices(m, indices)
+    check_submonoid(m, indices)
