@@ -426,7 +426,6 @@ def criterion_12_property_suites():
     # congruence separation: merged elements are context-inseparable
     _, syn = syntactic_of_language(lang)
     rec = syn.projection.dom
-    pred = syn.congruence  # noqa: F841  (kept for inspection)
     contexts = elements_with_support(rec.carrier, range(4))
     p = FsSubset.from_elements(
         rec.carrier, (), [m.encode_state(0, 0, 1), m.encode_state(0, 1, 1)]

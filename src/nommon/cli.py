@@ -3,8 +3,6 @@
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 refuted (a witness is in the report), 2 = input error, 3 = work budget
 exhausted. Reports are deterministic for a given document and budget.
-The ``--seed`` value is echoed in every report, and no computation
-reads it.
 """
 
 import argparse
@@ -111,21 +109,11 @@ class Report:
 
     def emit(self, command, code):
         if self.args.format == "json-report":
-            print(
-                json.dumps(
-                    {
-                        "command": command,
-                        "seed": self.args.seed,
-                        "exit": code,
-                        "report": self.lines,
-                    },
-                    indent=2,
-                )
-            )
+            payload = {"command": command, "exit": code, "report": self.lines}
+            print(json.dumps(payload, indent=2))
         else:
             for line in self.lines:
                 print(line)
-            print(f"seed: {self.args.seed}")
         return code
 
 
@@ -353,6 +341,9 @@ def cmd_stage(args, report, budget):
         f"stage of {len(langs)} quotients; joined monoid has "
         f"{len(stage.monoid.carrier.orbits)} orbits"
     )
+    backs = [
+        language_of_clopen(stage, clopen_of_language(stage, lang)) for lang in langs
+    ]
     for t in itertools.chain.from_iterable(
         itertools.product((0, 1, 2), repeat=n) for n in range(4)
     ):
@@ -362,8 +353,7 @@ def cmd_stage(args, report, budget):
             if stage_eval(stage, i, x) != q.eval_word(w.letters):
                 report.say(f"compatible-family condition FAILED at {t}")
                 return REFUTED
-        for lang in langs:
-            back = language_of_clopen(stage, clopen_of_language(stage, lang))
+        for lang, back in zip(langs, backs):
             if member(back, w) != member(lang, w):
                 report.say(f"clopen round-trip FAILED at {t}")
                 return REFUTED
@@ -389,12 +379,6 @@ def cmd_demo_paper(args, report, budget):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=2_000_000)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="only echoed in the report; no computation reads it",
-    )
     common.add_argument(
         "--format", choices=("text", "json-report"), default="text"
     )

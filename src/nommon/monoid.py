@@ -41,12 +41,12 @@ class NominalMonoid:
     multiplication map are, whichever objects hold them.
     """
 
-    def __init__(self, carrier, unit, mult, product=None):
+    def __init__(self, carrier, unit, mult, product):
         if unit.set != carrier:
             raise InvalidInput("unit must live in the carrier")
         self.carrier = carrier
         self.unit = unit
-        self.product = product if product is not None else product_set(carrier, carrier)
+        self.product = product
         if mult.source != self.product.set or mult.target != carrier:
             raise InvalidInput("mult must map carrier x carrier to carrier")
         self.mult = mult

@@ -2,8 +2,9 @@
 
 The format is diffable and hand-writable: atoms are bare identifiers
 ``a0, a1, ...``, orbits are declared by dimension plus positional
-permutations, and multiplication is keyed by equality patterns, one
-entry per canonical product orbit::
+permutations, and multiplication has exactly one entry per orbit of
+the carrier's square, written on a pair of that orbit with labels
+``x0, x1, ...`` for its atoms::
 
     monoid N
       orbit dim 0
@@ -14,14 +15,16 @@ entry per canonical product orbit::
       ...
     end
 
-Parsing yields validated objects or a positioned error; serialization
-of canonical objects round-trips exactly.
+Parsing yields validated objects or an error at the offending line;
+serialization of canonical objects round-trips exactly.
 """
 
 import re
+from contextlib import contextmanager
 
 from nommon.errors import InvalidInput
-from nommon.monoid import MonoidMorphism, NominalMonoid, monoid_from_concrete
+from nommon.kernel import min_coset
+from nommon.monoid import MonoidMorphism, NominalMonoid
 from nommon.sets import (
     Assignment,
     Element,
@@ -40,58 +43,97 @@ class TextFormatError(InvalidInput):
         self.line = line
 
 
+@contextmanager
+def _at(line):
+    """Error boundary of one line: a malformed token or value read on it
+    is a TextFormatError at that line. An error already positioned at an
+    inner line keeps its position."""
+    try:
+        yield
+    except TextFormatError:
+        raise
+    except IndexError:
+        raise TextFormatError("missing token or no such orbit", line) from None
+    except (ValueError, InvalidInput) as exc:
+        raise TextFormatError(str(exc), line) from None
+
+
+def _block(lines, head, start, rows):
+    """Read the lines of a block up to its 'end': each nonblank line goes,
+    inside its own error boundary, to rows[its first token](tokens, line)."""
+    for line, text in lines:
+        tokens = text.split()
+        if tokens == ["end"]:
+            return
+        if tokens:
+            with _at(line):
+                if tokens[0] not in rows:
+                    raise InvalidInput(f"unexpected line in {head} block")
+                rows[tokens[0]](tokens, line)
+    raise TextFormatError(f"unterminated {head} block", start)
+
+
 _ATOM = re.compile(r"^a(\d+)$")
 _LABEL = re.compile(r"^x(\d+)$")
+_CALL = r"(\d+\([^()]*\))"
+_MULT = re.compile(rf"^{_CALL}\s*\.\s*{_CALL}\s*->\s*{_CALL}$")
+_MAP = re.compile(rf"^{_CALL}\s*->\s*{_CALL}$")
 
 
-def _atom(token, line):
+def _atom(token):
     m = _ATOM.match(token)
     if not m:
-        raise TextFormatError(f"expected an atom like a0, got {token!r}", line)
+        raise InvalidInput(f"expected an atom like a0, got {token!r}")
     return int(m.group(1))
 
 
-def _label(token, line):
+def _label(token):
     m = _LABEL.match(token)
     if not m:
-        raise TextFormatError(f"expected a label like x0, got {token!r}", line)
+        raise InvalidInput(f"expected a label like x0, got {token!r}")
     return int(m.group(1))
 
 
-def _parse_call(text, line):
-    """'3(x0 x1)' -> (3, ('x0', 'x1'))."""
+def _parse_call(text, read):
+    """'3(x0 x1)' -> (3, (0, 1)), reading each argument with ``read``."""
     m = re.match(r"^(\d+)\(([^()]*)\)$", text)
     if not m:
-        raise TextFormatError(f"expected orbit(args), got {text!r}", line)
-    args = tuple(m.group(2).split())
-    return int(m.group(1)), args
+        raise InvalidInput(f"expected orbit(args), got {text!r}")
+    return int(m.group(1)), tuple(read(t) for t in m.group(2).split())
 
 
-def _fmt_call(orbit, names):
-    return f"{orbit}({' '.join(names)})"
+def _parse_arrow(pattern, tokens, usage):
+    """The (orbit, labels) calls of a 'mult' or 'map' line; the labels of
+    the last one, the value, must occur in the others."""
+    m = pattern.match(" ".join(tokens[1:]))
+    if not m:
+        raise InvalidInput(f"expected '{usage}'")
+    calls = [_parse_call(c, _label) for c in m.groups()]
+    known = {label for _orbit, labels in calls[:-1] for label in labels}
+    missing = [f"x{label}" for label in calls[-1][1] if label not in known]
+    if missing:
+        raise InvalidInput(f"result labels {missing} do not occur on the left")
+    return calls
+
+
+def _fmt_call(orbit, numbers, prefix="x"):
+    return f"{orbit}({' '.join(f'{prefix}{n}' for n in numbers)})"
 
 
 # --- carriers -------------------------------------------------------------
 
 
-def _parse_orbit_line(tokens, line):
+def _parse_orbit_line(tokens):
     if tokens[:2] != ["orbit", "dim"]:
-        raise TextFormatError("expected 'orbit dim <n> [group (..) ..]'", line)
-    try:
-        dim = int(tokens[2])
-    except (IndexError, ValueError):
-        raise TextFormatError("orbit dimension must be an integer", line) from None
+        raise InvalidInput("expected 'orbit dim <n> [group (..) ..]'")
     rest = " ".join(tokens[3:])
-    gens = []
-    if rest:
-        if not rest.startswith("group"):
-            raise TextFormatError("expected 'group' after the dimension", line)
-        for part in re.findall(r"\(([^()]*)\)", rest):
-            gens.append(tuple(int(t) for t in part.split()))
-    try:
-        return OrbitDescriptor(dim, gens)
-    except InvalidInput as exc:
-        raise TextFormatError(str(exc), line) from None
+    if rest and not rest.startswith("group"):
+        raise InvalidInput("expected 'group' after the dimension")
+    gens = [
+        tuple(int(t) for t in part.split())
+        for part in re.findall(r"\(([^()]*)\)", rest)
+    ]
+    return OrbitDescriptor(int(tokens[2]), gens)
 
 
 def _serialize_orbit(desc):
@@ -106,103 +148,74 @@ def _serialize_orbit(desc):
 # --- multiplication entries -----------------------------------------------
 
 
-def _joint_pattern(left_names, right_names):
-    """First-occurrence equality pattern of a name pair; also the
-    per-name index map."""
-    index = {}
-    for n in left_names + right_names:
-        if n not in index:
-            index[n] = len(index)
-    return (
-        tuple(index[n] for n in left_names),
-        tuple(index[n] for n in right_names),
-        index,
-    )
-
-
 def _mult_entries(m):
-    """One '(pattern) . (pattern) -> value' line per product orbit."""
-    lines = []
-    for p in range(len(m.product.set.orbits)):
-        ref = Element(m.product.set, p, range(m.product.set.orbits[p].dim))
-        x, y = m.product.unpair(ref)
-        z = m.mult(ref)
-        names = {a: f"x{a}" for a in ref.tuple}
-        lines.append(
-            "  mult {} . {} -> {}".format(
-                _fmt_call(x.orbit, [names[a] for a in x.tuple]),
-                _fmt_call(y.orbit, [names[a] for a in y.tuple]),
-                _fmt_call(z.orbit, [names[a] for a in z.tuple]),
-            )
+    """One '(pattern) . (pattern) -> value' line per product orbit, on its
+    reference pair: the key's labels are the atoms, and the value is the
+    least reading of the posmap under the target orbit's group."""
+    orbits = m.carrier.orbits
+    return [
+        "  mult {} . {} -> {}".format(
+            _fmt_call(i, x_labels),
+            _fmt_call(j, y_labels),
+            _fmt_call(a.orbit, min_coset(a.posmap, orbits[a.orbit].moves)),
         )
-    return lines
+        for (i, x_labels, j, y_labels), a in zip(m.product.patterns, m.mult.assignment)
+    ]
 
 
-def _parse_mult_line(tokens, line):
-    # mult i(..) . j(..) -> r(..)
-    text = " ".join(tokens[1:])
-    call = r"(\d+\([^()]*\))"
-    m = re.match(rf"^{call}\s*\.\s*{call}\s*->\s*{call}$", text)
-    if not m:
-        raise TextFormatError("expected 'mult i(..) . j(..) -> r(..)'", line)
-    i, left = _parse_call(m.group(1), line)
-    j, right = _parse_call(m.group(2), line)
-    r, res = _parse_call(m.group(3), line)
-    for n in left + right + res:
-        _label(n, line)
-    lp, rp, index = _joint_pattern(left, right)
-    missing = [n for n in res if n not in index]
-    if missing:
-        raise TextFormatError(
-            f"result labels {missing} do not occur on the left", line
-        )
-    return (i, j, lp, rp), (r, tuple(index[n] for n in res)), line
+def _carrier_block(head, lines, start):
+    """The set or monoid of a block's lines."""
+    orbits, units, mults = [], [], []
+
+    def orbit(tokens, line):
+        orbits.append(_parse_orbit_line(tokens))
+
+    def unit(tokens, line):
+        if len(tokens) != 2 or units:
+            raise InvalidInput("expected one 'unit <orbit>' line")
+        units.append((int(tokens[1]), line))
+
+    def mult(tokens, line):
+        calls = _parse_arrow(_MULT, tokens, "mult i(..) . j(..) -> r(..)")
+        mults.append((calls, line))
+
+    rows = {"orbit": orbit}
+    if head == "monoid":
+        rows.update(unit=unit, mult=mult)
+    _block(lines, head, start, rows)
+    if head == "set":
+        return OrbitFiniteSet(orbits)
+    if not units:
+        raise InvalidInput("monoid block needs a 'unit <orbit>' line")
+    return _build_monoid(OrbitFiniteSet(orbits), units[0], mults)
 
 
-def _build_monoid(orbits, unit_orbit, entries, start_line):
-    carrier = OrbitFiniteSet(orbits)
-    if unit_orbit is None:
-        raise TextFormatError("monoid block needs a 'unit <orbit>' line", start_line)
-    try:
-        unit = Element(carrier, unit_orbit, ())
-    except (IndexError, InvalidInput):
-        raise TextFormatError(
-            f"unit orbit {unit_orbit} is not a dim-0 orbit", start_line
-        ) from None
-    table = {}
-    for key, value, line in entries:
-        if key in table:
-            raise TextFormatError("duplicate multiplication pattern", line)
-        table[key] = (value, line)
+def _build_monoid(carrier, unit_line, mult_lines):
+    """The monoid of its unit and mult lines, each read with its number.
 
-    def mult_value(x, y):
-        joint = {}
-        for a in x.tuple + y.tuple:
-            if a not in joint:
-                joint[a] = len(joint)
-        key = (
-            x.orbit,
-            y.orbit,
-            tuple(joint[a] for a in x.tuple),
-            tuple(joint[a] for a in y.tuple),
-        )
-        if key not in table:
-            raise TextFormatError(
-                f"missing multiplication entry for pattern {key}", start_line
-            )
-        (r, res_idx), _line = table[key]
-        back = {l: a for a, l in joint.items()}
-        try:
-            return Element(carrier, r, [back[l] for l in res_idx])
-        except (IndexError, InvalidInput) as exc:
-            raise TextFormatError(str(exc), _line) from None
-
-    try:
-        return monoid_from_concrete(carrier, unit, mult_value)
-    except TextFormatError:
-        raise
-    except InvalidInput as exc:
-        raise TextFormatError(str(exc), start_line) from None
+    A mult line's labels are read as atoms, and ``product.pair`` finds
+    the product orbit of its pair; the value moves to that orbit's
+    reference pair, whose atoms are the positions 0..d-1.
+    """
+    orbit, line = unit_line
+    with _at(line):
+        unit = Element(carrier, orbit, ())
+    product = product_set(carrier, carrier)
+    assignment = [None] * len(product.patterns)
+    for ((i, left), (j, right), (r, value)), line in mult_lines:
+        with _at(line):
+            e = product.pair(Element(carrier, i, left), Element(carrier, j, right))
+            if assignment[e.orbit] is not None:
+                key = product.patterns[e.orbit]
+                raise InvalidInput(f"second multiplication entry for pattern {key}")
+            position = {a: p for p, a in enumerate(e.tuple)}
+            z = Element(carrier, r, [position[a] for a in value])
+            assignment[e.orbit] = Assignment(r, z.tuple)
+    if None in assignment:
+        key = product.patterns[assignment.index(None)]
+        raise InvalidInput(f"missing multiplication entry for pattern {key}")
+    mult = EquivariantMap(product.set, carrier, assignment)
+    return NominalMonoid(carrier, unit, mult, product)
 
 
 # --- morphisms ------------------------------------------------------------
@@ -221,37 +234,28 @@ def _serialize_morphism(name, h, names_of):
     lines = [f"morphism {name} : {dom} -> {cod}"]
     for i, a in enumerate(h.map.assignment):
         dim = h.dom.carrier.orbits[i].dim
-        src = _fmt_call(i, [f"x{p}" for p in range(dim)])
-        tgt = _fmt_call(a.orbit, [f"x{p}" for p in a.posmap])
-        lines.append(f"  map {src} -> {tgt}")
+        lines.append(f"  map {_fmt_call(i, range(dim))} -> {_fmt_call(a.orbit, a.posmap)}")
     lines.append("end")
     return lines
 
 
-def _build_morphism(dom, cod, maps, start_line):
+def _morphism_block(dom, cod, lines, start):
     assignment = [None] * len(dom.carrier.orbits)
-    for (i, src_names), (j, tgt_names), line in maps:
-        if not (0 <= i < len(assignment)):
-            raise TextFormatError(f"no source orbit {i}", line)
+
+    def map_line(tokens, line):
+        (i, src), (j, tgt) = _parse_arrow(_MAP, tokens, "map i(..) -> j(..)")
+        dim = dom.carrier.orbits[i].dim
+        if src != tuple(range(dim)):
+            raise InvalidInput(f"source labels must be {_fmt_call(i, range(dim))}")
         if assignment[i] is not None:
-            raise TextFormatError(f"duplicate map entry for orbit {i}", line)
-        expected = [f"x{p}" for p in range(dom.carrier.orbits[i].dim)]
-        if list(src_names) != expected:
-            raise TextFormatError(
-                f"source labels must be {expected} in order", line
-            )
-        posmap = tuple(_label(n, line) for n in tgt_names)
-        try:
-            assignment[i] = Assignment(j, posmap)
-        except InvalidInput as exc:
-            raise TextFormatError(str(exc), line) from None
-    if any(a is None for a in assignment):
-        raise TextFormatError("map entries must cover every orbit", start_line)
-    try:
-        emap = EquivariantMap(dom.carrier, cod.carrier, assignment)
-        return MonoidMorphism(dom, cod, emap)
-    except InvalidInput as exc:
-        raise TextFormatError(str(exc), start_line) from None
+            raise InvalidInput(f"duplicate map entry for orbit {i}")
+        Element(cod.carrier, j, tgt)  # the target orbit takes these labels
+        assignment[i] = Assignment(j, tgt)
+
+    _block(lines, "morphism", start, {"map": map_line})
+    if None in assignment:
+        raise InvalidInput("map entries must cover every orbit")
+    return MonoidMorphism(dom, cod, EquivariantMap(dom.carrier, cod.carrier, assignment))
 
 
 # --- subsets, words, terms, bounds ----------------------------------------
@@ -262,9 +266,26 @@ def _serialize_subset(name, u, names_of):
     if u.support:
         lines.append("  support " + " ".join(f"a{a}" for a in sorted(u.support)))
     for r in sorted(u.reps(), key=lambda e: (e.orbit, e.tuple)):
-        lines.append("  element " + _fmt_call(r.orbit, [f"a{a}" for a in r.tuple]))
+        lines.append("  element " + _fmt_call(r.orbit, r.tuple, "a"))
     lines.append("end")
     return lines
+
+
+def _subset_block(carrier, lines, start):
+    from nommon.fssets import FsSubset
+
+    support, elements = [], []
+
+    def support_line(tokens, line):
+        support[:] = [_atom(t) for t in tokens[1:]]
+
+    def element_line(tokens, line):
+        orbit, atoms = _parse_call(" ".join(tokens[1:]), _atom)
+        elements.append(Element(carrier, orbit, atoms))
+
+    rows = {"support": support_line, "element": element_line}
+    _block(lines, "subset", start, rows)
+    return FsSubset.from_elements(carrier, support, elements)
 
 
 def _serialize_term(t):
@@ -280,19 +301,19 @@ def _serialize_term(t):
     )
 
 
-def _tokenize_term(text, line):
+def _tokenize_term(text):
     tokens = re.findall(r"\(|\)\^w|\)|[^\s()]+", text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise TextFormatError(f"cannot tokenize term {text!r}", line)
+        raise InvalidInput(f"cannot tokenize term {text!r}")
     return tokens
 
 
-def _parse_term(text, line):
+def _parse_term(text):
     from nommon.prolimit import OmegaTerm
     from nommon.sets import atoms_set
 
     sigma = atoms_set()
-    tokens = _tokenize_term(text, line)
+    tokens = _tokenize_term(text)
     pos = 0
 
     def seq(depth):
@@ -304,7 +325,7 @@ def _parse_term(text, line):
                 pos += 1
                 inner = seq(depth + 1)
                 if pos >= len(tokens):
-                    raise TextFormatError("unbalanced '(' in term", line)
+                    raise InvalidInput("unbalanced '(' in term")
                 closer = tokens[pos]
                 pos += 1
                 items.append(OmegaTerm.omega(inner) if closer == ")^w" else inner)
@@ -313,9 +334,7 @@ def _parse_term(text, line):
                 items.append(OmegaTerm.unit())
             else:
                 pos += 1
-                items.append(
-                    OmegaTerm.letter(Element(sigma, 0, [_atom(tok, line)]))
-                )
+                items.append(OmegaTerm.letter(Element(sigma, 0, [_atom(tok)])))
         if not items:
             return OmegaTerm.unit()
         if len(items) == 1:
@@ -324,7 +343,7 @@ def _parse_term(text, line):
 
     out = seq(0)
     if pos != len(tokens):
-        raise TextFormatError("unbalanced ')' in term", line)
+        raise InvalidInput("unbalanced ')' in term")
     return out
 
 
@@ -338,155 +357,79 @@ def _serialize_bound(name, s):
     return f"bound {name} = {label}"
 
 
-def _parse_bound(tokens, line):
+def _parse_bound(tokens):
     from nommon import bounds
 
     if not tokens:
-        raise TextFormatError("empty bound definition", line)
+        raise InvalidInput("empty bound definition")
     if tokens[0] == "constant":
-        return bounds.SupportBound.constant(_atom(t, line) for t in tokens[1:])
+        return bounds.SupportBound.constant(_atom(t) for t in tokens[1:])
     if tokens == ["first-letter"]:
         return bounds.first_letter_bound()
     if tokens == ["endpoints"]:
         return bounds.endpoints_bound()
-    raise TextFormatError(f"unknown bound {' '.join(tokens)!r}", line)
+    raise InvalidInput(f"unknown bound {' '.join(tokens)!r}")
 
 
 # --- documents ------------------------------------------------------------
 
 
+def _parse_word(tokens):
+    from nommon.language import Word
+
+    return Word.of_atoms(_atom(t) for t in tokens)
+
+
+_ONE_LINE = {
+    "word": _parse_word,
+    "term": lambda tokens: _parse_term(" ".join(tokens)),
+    "bound": _parse_bound,
+}
+
+
+def _declaration(tokens, lines, start, out):
+    """(name, object) of the declaration that starts on this line; a
+    block declaration reads its lines from ``lines``."""
+    head, rest = tokens[0], tokens[1:]
+    if head in ("set", "monoid"):
+        if len(rest) != 1:
+            raise InvalidInput(f"expected '{head} NAME'")
+        return rest[0], _carrier_block(head, lines, start)
+    if head == "morphism":
+        m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", " ".join(rest))
+        if not m:
+            raise InvalidInput("expected 'morphism NAME : DOM -> COD'")
+        dom, cod = (out.get(m.group(k)) for k in (2, 3))
+        for name, obj in ((m.group(2), dom), (m.group(3), cod)):
+            if not isinstance(obj, NominalMonoid):
+                raise InvalidInput(f"unknown monoid {name!r}")
+        return m.group(1), _morphism_block(dom, cod, lines, start)
+    if head == "subset":
+        if len(rest) != 3 or rest[1] != "of":
+            raise InvalidInput("expected 'subset NAME of CARRIER'")
+        carrier = out.get(rest[2])
+        if isinstance(carrier, NominalMonoid):
+            carrier = carrier.carrier
+        if not isinstance(carrier, OrbitFiniteSet):
+            raise InvalidInput(f"unknown set or monoid {rest[2]!r}")
+        return rest[0], _subset_block(carrier, lines, start)
+    if head in _ONE_LINE:
+        if len(rest) < 2 or rest[1] != "=":
+            raise InvalidInput(f"expected '{head} NAME = ...'")
+        return rest[0], _ONE_LINE[head](rest[2:])
+    raise InvalidInput(f"unknown declaration {head!r}")
+
+
 def parse(document):
     """Parse a definition document into an ordered name -> object dict."""
     out = {}
-    lines = document.splitlines()
-    i = 0
-
-    def carrier_of(name, line):
-        obj = out.get(name)
-        if isinstance(obj, OrbitFiniteSet):
-            return obj
-        if isinstance(obj, NominalMonoid):
-            return obj.carrier
-        raise TextFormatError(f"unknown set or monoid {name!r}", line)
-
-    def monoid_of(name, line):
-        obj = out.get(name)
-        if not isinstance(obj, NominalMonoid):
-            raise TextFormatError(f"unknown monoid {name!r}", line)
-        return obj
-
-    while i < len(lines):
-        lineno = i + 1
-        tokens = lines[i].split()
-        i += 1
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        head, rest = tokens[0], tokens[1:]
-        if head in ("set", "monoid"):
-            if len(rest) != 1:
-                raise TextFormatError(f"expected '{head} NAME'", lineno)
-            name = rest[0]
-            orbits, entries, unit_orbit = [], [], None
-            while True:
-                if i >= len(lines):
-                    raise TextFormatError(f"unterminated {head} block", lineno)
-                sub = lines[i].split()
-                subno = i + 1
-                i += 1
-                if not sub:
-                    continue
-                if sub == ["end"]:
-                    break
-                if sub[0] == "orbit":
-                    orbits.append(_parse_orbit_line(sub, subno))
-                elif sub[0] == "unit" and head == "monoid":
-                    unit_orbit = int(sub[1])
-                elif sub[0] == "mult" and head == "monoid":
-                    entries.append(_parse_mult_line(sub, subno))
-                else:
-                    raise TextFormatError(f"unexpected line in {head} block", subno)
-            if head == "set":
-                out[name] = OrbitFiniteSet(orbits)
-            else:
-                out[name] = _build_monoid(orbits, unit_orbit, entries, lineno)
-        elif head == "morphism":
-            m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", " ".join(rest))
-            if not m:
-                raise TextFormatError("expected 'morphism NAME : DOM -> COD'", lineno)
-            name = m.group(1)
-            dom = monoid_of(m.group(2), lineno)
-            cod = monoid_of(m.group(3), lineno)
-            maps = []
-            while True:
-                if i >= len(lines):
-                    raise TextFormatError("unterminated morphism block", lineno)
-                sub = lines[i].split()
-                subno = i + 1
-                i += 1
-                if not sub:
-                    continue
-                if sub == ["end"]:
-                    break
-                if sub[0] != "map":
-                    raise TextFormatError("expected a 'map' line", subno)
-                call = r"(\d+\([^()]*\))"
-                mm = re.match(rf"^{call}\s*->\s*{call}$", " ".join(sub[1:]))
-                if not mm:
-                    raise TextFormatError("expected 'map i(..) -> j(..)'", subno)
-                maps.append(
-                    (
-                        _parse_call(mm.group(1), subno),
-                        _parse_call(mm.group(2), subno),
-                        subno,
-                    )
-                )
-            out[name] = _build_morphism(dom, cod, maps, lineno)
-        elif head == "subset":
-            if len(rest) != 3 or rest[1] != "of":
-                raise TextFormatError("expected 'subset NAME of CARRIER'", lineno)
-            name = rest[0]
-            carrier = carrier_of(rest[2], lineno)
-            support, elements = [], []
-            while True:
-                if i >= len(lines):
-                    raise TextFormatError("unterminated subset block", lineno)
-                sub = lines[i].split()
-                subno = i + 1
-                i += 1
-                if not sub:
-                    continue
-                if sub == ["end"]:
-                    break
-                if sub[0] == "support":
-                    support = [_atom(t, subno) for t in sub[1:]]
-                elif sub[0] == "element":
-                    orbit, names = _parse_call(" ".join(sub[1:]), subno)
-                    atoms = [_atom(n, subno) for n in names]
-                    try:
-                        elements.append(Element(carrier, orbit, atoms))
-                    except (IndexError, InvalidInput) as exc:
-                        raise TextFormatError(str(exc), subno) from None
-                else:
-                    raise TextFormatError("unexpected line in subset block", subno)
-            from nommon.fssets import FsSubset
-
-            out[name] = FsSubset.from_elements(carrier, support, elements)
-        elif head == "word":
-            if len(rest) < 2 or rest[1] != "=":
-                raise TextFormatError("expected 'word NAME = a0 a1 ...'", lineno)
-            from nommon.language import Word
-
-            out[rest[0]] = Word.of_atoms(_atom(t, lineno) for t in rest[2:])
-        elif head == "term":
-            if len(rest) < 2 or rest[1] != "=":
-                raise TextFormatError("expected 'term NAME = ...'", lineno)
-            out[rest[0]] = _parse_term(" ".join(rest[2:]), lineno)
-        elif head == "bound":
-            if len(rest) < 2 or rest[1] != "=":
-                raise TextFormatError("expected 'bound NAME = ...'", lineno)
-            out[rest[0]] = _parse_bound(rest[2:], lineno)
-        else:
-            raise TextFormatError(f"unknown declaration {head!r}", lineno)
+    lines = enumerate(document.splitlines(), 1)
+    for line, text in lines:
+        tokens = text.split()
+        if tokens and not tokens[0].startswith("#"):
+            with _at(line):
+                name, obj = _declaration(tokens, lines, line, out)
+            out[name] = obj
     return out
 
 

@@ -19,13 +19,18 @@ submonoid's square and multiplied each of its orbit pairs in the
 ambient monoid again. The fresh-transposition test checks that an
 element's least support is its canonical tuple's atoms. The l2
 recognizers, the endpoints bound and binary boolean combinations were
-full product monoids, with letters paired by hand; they are joins now. The differential tests check the fast paths against
-these definitions.
+full product monoids, with letters paired by hand; they are joins now.
+The text format wrote each monoid table line from a concrete reference
+pair and read it back by the pair's first-occurrence name pattern; it
+writes and reads lines by product-orbit key now. The differential tests
+check the fast paths against these definitions.
 """
 
 import itertools
+import re
 from itertools import permutations
 
+from nommon import textfmt
 from nommon.bounds import BoundReport, JoinResult, SupportBound
 from nommon.catalog import builder
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
@@ -692,3 +697,77 @@ def language_boolean(op, l1, l2=None):
     return Language(
         GeneratorMap(l1.alphabet, pm.monoid, h0), fs_boolean(op, u1, u2)
     )
+
+
+# --- monoid tables in the text format, by concrete pairs -------------------
+
+
+def mult_entries(m):
+    """One 'mult' line per product orbit, written from the concrete
+    reference pair: unpaired into its factors and multiplied."""
+    lines = []
+    for p in range(len(m.product.set.orbits)):
+        ref = Element(m.product.set, p, range(m.product.set.orbits[p].dim))
+        x, y = m.product.unpair(ref)
+        z = m.mult(ref)
+        names = {a: f"x{a}" for a in ref.tuple}
+        lines.append(
+            "  mult {}({}) . {}({}) -> {}({})".format(
+                x.orbit, " ".join(names[a] for a in x.tuple),
+                y.orbit, " ".join(names[a] for a in y.tuple),
+                z.orbit, " ".join(names[a] for a in z.tuple),
+            )
+        )
+    return lines
+
+
+def serialize_monoid(name, m):
+    """The text of a one-monoid document."""
+    lines = [f"monoid {name}"]
+    lines.extend(textfmt._serialize_orbit(d) for d in m.carrier.orbits)
+    lines.append(f"  unit {m.unit.orbit}")
+    lines.extend(mult_entries(m))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def joint_pattern(left_names, right_names):
+    """First-occurrence equality pattern of a name pair; also the
+    per-name index map."""
+    index = {}
+    for n in left_names + right_names:
+        if n not in index:
+            index[n] = len(index)
+    return (
+        tuple(index[n] for n in left_names),
+        tuple(index[n] for n in right_names),
+        index,
+    )
+
+
+def parse_monoid(document):
+    """The monoid of a one-monoid document in canonical form, read by
+    looking up each reference pair's first-occurrence name pattern among
+    the 'mult' lines and evaluating it concretely."""
+    orbits, table, unit_orbit = [], {}, None
+    for text in document.splitlines()[1:-1]:
+        tokens = text.split()
+        if tokens[0] == "orbit":
+            orbits.append(textfmt._parse_orbit_line(tokens))
+        elif tokens[0] == "unit":
+            unit_orbit = int(tokens[1])
+        else:
+            i, left, j, right, r, res = re.fullmatch(
+                r"mult (\d+)\((.*)\) \. (\d+)\((.*)\) -> (\d+)\((.*)\)", text.strip()
+            ).groups()
+            lp, rp, index = joint_pattern(left.split(), right.split())
+            table[(int(i), int(j), lp, rp)] = (int(r), [index[n] for n in res.split()])
+    carrier = OrbitFiniteSet(orbits)
+
+    def mult_value(x, y):
+        lp, rp, joint = joint_pattern(list(x.tuple), list(y.tuple))
+        r, res_idx = table[(x.orbit, y.orbit, lp, rp)]
+        back = {label: a for a, label in joint.items()}
+        return Element(carrier, r, [back[label] for label in res_idx])
+
+    return monoid_from_concrete(carrier, Element(carrier, unit_orbit, ()), mult_value)

@@ -229,6 +229,17 @@ def test_json_report(capsys):
     assert payload["report"] == ["barred: valid (4 orbits)"]
 
 
-def test_seed_always_printed(capsys):
-    _, out = run(capsys, "orbits", "trivial", "--seed", "7")
-    assert "seed: 7" in out
+TRIVIAL = "monoid M\n  orbit dim 0\n  unit 0\n  mult 0() . 0() -> 0()\nend\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("end", "  mult 1() . 0() -> 0()\nend"), ("unit 0", "unit x")],
+    ids=["stray-mult-line", "unit-not-a-number"],
+)
+def test_validate_rejects_a_malformed_file(tmp_path, capsys, old, new):
+    path = tmp_path / "m.nom"
+    path.write_text(TRIVIAL.replace(old, new))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "input error: line" in out

@@ -37,6 +37,7 @@ from nommon.monoid import (
     closed_orbit_indices,
     coimage,
     enumerate_monoid_maps,
+    enumerate_small_monoids,
     find_isomorphism,
     monoid_from_concrete,
     product_monoid,
@@ -591,9 +592,19 @@ BOUNDS = {
 }
 
 
+def check_text(m):
+    """serialize writes what the concrete-pair writer does, and parse
+    reads back the monoid that the first-occurrence reader does."""
+    text = serialize({"M": m})
+    assert text == reference.serialize_monoid("M", m)
+    back = parse(text)["M"]
+    assert back == reference.parse_monoid(text) == m
+    assert back.product.patterns == m.product.patterns
+
+
 def check_join(h1, h2, s):
     """join_s_bounded and is_s_bounded against the full-product oracle,
-    plus a text round trip of the join."""
+    plus a text round trip of the join, also against the reference."""
     jn = join_s_bounded(h1, h2, s)
     old = reference.join_s_bounded(h1, h2, s)
     assert jn.monoid == old.monoid
@@ -614,6 +625,7 @@ def check_join(h1, h2, s):
     assert back["J"] == jn.monoid
     assert (back["left"].map, back["right"].map) == (jn.left.map, jn.right.map)
     assert serialize(back) == text
+    check_text(jn.monoid)
 
 
 @pytest.mark.parametrize("bound", sorted(BOUNDS))
@@ -812,6 +824,7 @@ def test_stages_serialize_as_over_the_full_products():
                 sigma, reference.endpoints_bound(), [genmap(x, True) for x in names]
             )
             assert serialize({"M": stage.monoid}) == serialize({"M": old.monoid})
+            check_text(stage.monoid)
 
 
 # --- properties of join ---------------------------------------------------
@@ -939,3 +952,49 @@ def test_submonoid_matches_the_concrete_path_on_any_orbit_set(data):
     if data.draw(st.booleans()):
         indices = closed_orbit_indices(m, indices)
     check_submonoid(m, indices)
+
+
+# --- monoid tables in the text format -------------------------------------
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_text_matches_the_concrete_pairs_on_the_catalog(name):
+    check_text(builder(name))
+
+
+@pytest.mark.parametrize("left", LOW_BOUND)
+def test_text_matches_the_concrete_pairs_on_products(left):
+    for right in LOW_BOUND:
+        check_text(product_monoid(builder(left), builder(right)).monoid)
+
+
+def test_text_matches_the_concrete_pairs_on_syntactic_and_enumerated_monoids():
+    monoids = [
+        syntactic_of_language(catalog_language(name))[1].monoid
+        for name in ("l0", "l2-any")
+    ]
+    enumerated = enumerate_small_monoids(2, 1)
+    assert len(enumerated) == 5
+    for m in monoids + enumerated:
+        check_text(m)
+
+
+def test_text_matches_the_concrete_pairs_on_position_groups():
+    for m in SUBMONOID_AMBIENTS[len(catalog_names()):] + [SYMMETRIC_PRODUCT]:
+        check_text(m)
+
+
+def test_text_writes_the_least_reading_of_a_posmap():
+    # unit . {a, b} = {b, a} is stored as the reading (1, 0) of the
+    # unordered pair; the text reads (0, 1), as the element does
+    m = null_monoid(SYMMETRIC.orbits[3])
+    p = m.product.patterns.index((0, (), 2, (0, 1)))
+    assignment = list(m.mult.assignment)
+    assert assignment[p] == Assignment(2, (0, 1))
+    assignment[p] = Assignment(2, (1, 0))
+    swapped = NominalMonoid(
+        m.carrier, m.unit, EquivariantMap(m.product.set, m.carrier, assignment), m.product
+    )
+    text = serialize({"M": swapped})
+    assert text == reference.serialize_monoid("M", swapped) == serialize({"M": m})
+    assert parse(text)["M"] == m

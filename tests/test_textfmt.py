@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nommon.bounds import SupportBound, endpoints_bound, first_letter_bound
@@ -123,17 +125,66 @@ def test_hand_written_monoid_validates():
     assert m.mult == ref.mult
 
 
-def test_hand_written_morphism_validates():
-    e = catalog_quotient("compare")
-    text = serialize({"M": e.dom, "N": e.cod}) + (
-        "morphism e : M -> N\n"
-        "  map 0() -> 0()\n"
-        "  map 1(x0) -> 1(x0)\n"
-        "  map 2() -> 2()\n"
-        "  map 3(x0) -> 2()\n"
-        "end\n"
+# a unit, a zero and unordered pairs of atoms, whose products are zero
+NULL_PAIRS = """\
+monoid P
+  orbit dim 0
+  orbit dim 0
+  orbit dim 2 group (1 0)
+  unit 0
+  mult 0() . 0() -> 0()
+  mult 0() . 1() -> 1()
+  mult 0() . 2(x0 x1) -> 2(x0 x1)
+  mult 1() . 0() -> 1()
+  mult 1() . 1() -> 1()
+  mult 1() . 2(x0 x1) -> 1()
+  mult 2(x0 x1) . 0() -> 2(x0 x1)
+  mult 2(x0 x1) . 1() -> 1()
+  mult 2(x0 x1) . 2(x0 x1) -> 1()
+  mult 2(x0 x1) . 2(x0 x2) -> 1()
+  mult 2(x0 x1) . 2(x2 x3) -> 1()
+end
+"""
+
+COMPARE = catalog_quotient("compare")
+COMPARE_MORPHISM = serialize({"M": COMPARE.dom, "N": COMPARE.cod}) + (
+    "morphism e : M -> N\n"
+    "  map 0() -> 0()\n"
+    "  map 1(x0) -> 1(x0)\n"
+    "  map 2() -> 2()\n"
+    "  map 3(x0) -> 2()\n"
+    "end\n"
+)
+
+
+def test_hand_written_pairs_validate():
+    m = parse(NULL_PAIRS)["P"]
+    assert validate_monoid(m).ok
+    assert serialize({"P": m}) == NULL_PAIRS
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_mult_lines_may_name_any_pair_of_their_orbit(name):
+    # label k becomes x(7 - k) on every line: other pairs of the same
+    # product orbits, with their values moved along
+    m = builder(name)
+    text = serialize({"M": m})
+    renamed = re.sub(r"x(\d)", lambda g: f"x{7 - int(g.group(1))}", text)
+    assert renamed != text or "x" not in text
+    assert parse(renamed)["M"] == m
+
+
+def test_mult_lines_may_read_a_pair_under_its_group():
+    swapped = NULL_PAIRS.replace(
+        "mult 2(x0 x1) . 0() -> 2(x0 x1)", "mult 2(x1 x0) . 0() -> 2(x0 x1)"
     )
-    back = parse(text)["e"]
+    assert swapped != NULL_PAIRS
+    assert parse(swapped) == parse(NULL_PAIRS)
+
+
+def test_hand_written_morphism_validates():
+    e = COMPARE
+    back = parse(COMPARE_MORPHISM)["e"]
     assert validate_morphism(back).ok
     assert back.map == e.map
 
@@ -171,6 +222,42 @@ def test_result_labels_must_occur_on_the_left():
     )
     with pytest.raises(TextFormatError):
         parse(bad)
+
+
+def edited(base, old, new):
+    """base with old replaced by new, and the number of its first line
+    that changed."""
+    doc = base.replace(old, new, 1)
+    assert doc != base
+    pairs = zip(base.splitlines(), doc.splitlines())
+    return doc, next(n for n, (a, b) in enumerate(pairs, 1) if a != b)
+
+
+def before_end(base, line):
+    return edited(base, "end\n", f"  {line}\nend\n")
+
+
+MALFORMED = {
+    "mult-line-names-no-orbit": before_end(HAND_WRITTEN_N, "mult 3() . 0() -> 0()"),
+    "mult-line-of-wrong-arity": before_end(HAND_WRITTEN_N, "mult 1(x0 x1) . 0() -> 1(x0)"),
+    "mult-line-repeats-a-label": before_end(NULL_PAIRS, "mult 2(x0 x0) . 0() -> 0()"),
+    # 2(x1 x0) is 2(x0 x1) read under the group, so this names a product
+    # orbit that already has a line
+    "second-line-by-group-reading": before_end(
+        NULL_PAIRS, "mult 2(x0 x1) . 2(x1 x0) -> 2(x0 x1)"
+    ),
+    "unit-not-a-number": edited(HAND_WRITTEN_N, "unit 0", "unit x"),
+    "group-not-numbers": edited(NULL_PAIRS, "group (1 0)", "group (a b)"),
+    "map-to-no-orbit": edited(COMPARE_MORPHISM, "map 0() -> 0()", "map 0() -> 9()"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_line_is_an_error_at_that_line(case):
+    doc, line = MALFORMED[case]
+    with pytest.raises(TextFormatError) as exc:
+        parse(doc)
+    assert exc.value.line == line
 
 
 def test_bad_atom_token():
