@@ -117,12 +117,13 @@ def first_letter_bound():
     return SupportBound.via_morphism(letters_map("first_proj"), label="first-letter")
 
 
-def endpoints_bound():
+def endpoints_bound(budget=None):
     """s(a1...an) = {a1, an}: supp of the (first, last) evaluation, the
-    join of the first- and last-letter maps (3 orbits), built per call."""
+    join of the first- and last-letter maps (3 orbits), built per call
+    on ``budget``."""
     from nommon.catalog import letters_map
 
-    jn = join(letters_map("first_proj"), letters_map("last_proj"))
+    jn = join(letters_map("first_proj"), letters_map("last_proj"), budget)
     return SupportBound.via_morphism(jn.genmap, label="endpoints")
 
 

@@ -37,21 +37,22 @@ def _fmt_element(x):
     return f"orbit {x.orbit}({atoms})" if atoms else f"orbit {x.orbit}()"
 
 
-def _resolve_bound(name):
+def _resolve_bound(name, budget):
     from nommon import bounds
 
     if name == "first-letter":
         return bounds.first_letter_bound()
     if name == "endpoints":
-        return bounds.endpoints_bound()
+        return bounds.endpoints_bound(budget)
     if name.startswith("constant:"):
         atoms = _parse_word_tokens(name.split(":", 1)[1].split(","))
         return bounds.SupportBound.constant(atoms)
     raise InvalidInput(f"unknown bound {name!r}")
 
 
-def _load_monoids(target, args):
-    """A catalog name or a definition file; returns [(name, monoid)]."""
+def _load_monoids(target, args, budget):
+    """A catalog name or a definition file, parsed on ``budget``;
+    returns [(name, monoid)]."""
     from nommon.catalog import builder, catalog_names
     from nommon.monoid import NominalMonoid
     from nommon.textfmt import parse
@@ -60,7 +61,7 @@ def _load_monoids(target, args):
         return [(target, builder(target))]
     if os.path.exists(target):
         with open(target) as fh:
-            objects = parse(fh.read())
+            objects = parse(fh.read(), budget)
         found = [
             (name, obj)
             for name, obj in objects.items()
@@ -74,7 +75,7 @@ def _load_monoids(target, args):
     raise InvalidInput(f"{target!r} is neither a catalog monoid nor a file")
 
 
-def _resolve_quotient(name, args):
+def _resolve_quotient(name, args, budget):
     from nommon.catalog import catalog_quotient
     from nommon.monoid import MonoidMorphism
     from nommon.textfmt import parse
@@ -85,7 +86,7 @@ def _resolve_quotient(name, args):
         return catalog_quotient(key)
     if os.path.exists(name):
         with open(name) as fh:
-            objects = parse(fh.read())
+            objects = parse(fh.read(), budget)
         morphisms = [o for o in objects.values() if isinstance(o, MonoidMorphism)]
         if args.name:
             morphisms = [
@@ -124,7 +125,7 @@ def cmd_validate(args, report, budget):
     from nommon.monoid import validate_monoid
 
     code = HOLDS
-    for name, m in _load_monoids(args.target, args):
+    for name, m in _load_monoids(args.target, args, budget):
         r = validate_monoid(m, budget=budget)
         if r.ok:
             report.say(f"{name}: valid ({len(m.carrier.orbits)} orbits)")
@@ -136,7 +137,7 @@ def cmd_validate(args, report, budget):
 
 
 def cmd_orbits(args, report, budget):
-    for name, m in _load_monoids(args.target, args):
+    for name, m in _load_monoids(args.target, args, budget):
         report.say(f"{name}: {len(m.carrier.orbits)} orbits")
         for i, d in enumerate(m.carrier.orbits):
             sym = "" if len(d.group) == 1 else f", |G| = {len(d.group)}"
@@ -144,17 +145,17 @@ def cmd_orbits(args, report, budget):
     return HOLDS
 
 
-def _load_language(name):
+def _load_language(name, budget):
     from nommon.language import catalog_language
 
     alias = {"L0": "l0", "l0": "l0"}
-    return catalog_language(alias.get(name, name))
+    return catalog_language(alias.get(name, name), budget)
 
 
 def cmd_member(args, report, budget):
     from nommon.language import Word, eval_word, member
 
-    lang = _load_language(args.language)
+    lang = _load_language(args.language, budget)
     w = Word.of_atoms(_parse_word_tokens(args.word.split()))
     value = eval_word(lang.genmap, w)
     inside = member(lang, w)
@@ -167,7 +168,7 @@ def cmd_syntactic(args, report, budget):
     from nommon.language import syntactic_of_language
     from nommon.sets import orbit_reps
 
-    lang = _load_language(args.language)
+    lang = _load_language(args.language, budget)
     _, syn = syntactic_of_language(lang, budget=budget)
     dims = sorted(d.dim for d in syn.monoid.carrier.orbits)
     max_supp = max(len(r.tuple) for r in orbit_reps(syn.monoid.carrier))
@@ -181,7 +182,7 @@ def cmd_aperiodic(args, report, budget):
     from nommon.sets import orbit_reps
 
     code = HOLDS
-    for name, m in _load_monoids(args.target, args):
+    for name, m in _load_monoids(args.target, args, budget):
         if is_aperiodic(m):
             report.say(f"{name}: aperiodic")
         else:
@@ -199,10 +200,10 @@ def cmd_proeq(args, report, budget):
     from nommon.prolimit import aperiodicity_equation, satisfies_explicit
     from nommon.sets import atoms_set
 
-    s = _resolve_bound(args.bound)
+    s = _resolve_bound(args.bound, budget)
     lhs, rhs = aperiodicity_equation()
     code = HOLDS
-    for name, m in _load_monoids(args.target, args):
+    for name, m in _load_monoids(args.target, args, budget):
         rep = satisfies_explicit(m, atoms_set(), s, lhs, rhs, budget=budget)
         if rep.holds:
             report.say(f"{name}: satisfies x^w.x = x^w")
@@ -218,7 +219,7 @@ def cmd_proeq(args, report, budget):
 def cmd_classify_quotient(args, report, budget):
     from nommon.bounds import classify_quotient
 
-    e = _resolve_quotient(args.quotient, args)
+    e = _resolve_quotient(args.quotient, args, budget)
     res = classify_quotient(e, budget=budget)
     report.say(f"support-preserving: {'yes' if res.support_preserving else 'no'}")
     report.say(f"support-reflecting: {'yes' if res.support_reflecting else 'no'}")
@@ -245,7 +246,7 @@ def cmd_factor(args, report, budget):
     from nommon.bounds import factor_through
     from nommon.catalog import catalog_names, letters_map
 
-    e = _resolve_quotient(args.quotient, args)
+    e = _resolve_quotient(args.quotient, args, budget)
     # the map to factor: the canonical letter evaluation of the codomain
     target_name = next(
         (
@@ -258,7 +259,7 @@ def cmd_factor(args, report, budget):
     if target_name is None:
         raise InvalidInput("cannot infer a canonical evaluation of the codomain")
     h0 = letters_map(target_name, e.cod)
-    lift = factor_through(h0, e, _resolve_bound(args.bound), budget=budget)
+    lift = factor_through(h0, e, _resolve_bound(args.bound, budget), budget=budget)
     if lift is None:
         report.say("no s-bounded factorization exists (search exhausted)")
         return REFUTED
@@ -282,7 +283,7 @@ def cmd_join(args, report, budget):
     from nommon.bounds import join_s_bounded
     from nommon.catalog import letters_map
 
-    s = _resolve_bound(args.bound)
+    s = _resolve_bound(args.bound, budget)
     jn = join_s_bounded(
         letters_map(args.left), letters_map(args.right), s, budget=budget
     )
@@ -308,7 +309,7 @@ def cmd_dist(args, report, budget):
         scope = DsScope.exhaustive(args.max_orbits, args.max_dim)
     v = Word.of_atoms(_parse_word_tokens(args.word1.split()))
     w = Word.of_atoms(_parse_word_tokens(args.word2.split()))
-    res = d_s(v, w, _resolve_bound(args.bound), scope, budget=budget)
+    res = d_s(v, w, _resolve_bound(args.bound, budget), scope, budget=budget)
     report.say(f"d_s = {res.value}")
     report.say(f"scope: {res.exhausted_scope}")
     if res.certificate is not None:
@@ -332,9 +333,9 @@ def cmd_stage(args, report, budget):
     from nommon.sets import atoms_set
     import itertools
 
-    langs = [_load_language(n) for n in args.languages]
+    langs = [_load_language(n, budget) for n in args.languages]
     stage = build_stage(
-        atoms_set(), _resolve_bound(args.bound), [l.genmap for l in langs],
+        atoms_set(), _resolve_bound(args.bound, budget), [l.genmap for l in langs],
         budget=budget,
     )
     report.say(

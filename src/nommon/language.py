@@ -96,20 +96,24 @@ def member(lang, w):
     return fs_member(lang.predicate, eval_word(lang.genmap, w))
 
 
-def language_boolean(op, l1, l2=None):
+def language_boolean(op, l1, l2=None, budget=None):
     """Boolean combination. A complement keeps the recognizer; a binary
     one is recognized by the join of the two recognizers (the image of
-    their pairing), with both predicates pulled back along its projections."""
+    their pairing), with both predicates pulled back along its
+    projections. The join and the predicates' key operations are charged
+    to ``budget``."""
+    budget = ensure_budget(budget)
     if op == "complement":
-        return Language(l1.genmap, fs_boolean("complement", l1.predicate))
+        complement = fs_boolean("complement", l1.predicate, budget=budget)
+        return Language(l1.genmap, complement)
     if l2 is None:
         raise InvalidInput(f"operation {op} needs two languages")
     if l1.alphabet != l2.alphabet:
         raise InvalidInput("alphabet mismatch")
-    jn = join(l1.genmap, l2.genmap)
-    u1 = preimage_subset(jn.left.map, l1.predicate)
-    u2 = preimage_subset(jn.right.map, l2.predicate)
-    return Language(jn.genmap, fs_boolean(op, u1, u2))
+    jn = join(l1.genmap, l2.genmap, budget)
+    u1 = preimage_subset(jn.left.map, l1.predicate, budget=budget)
+    u2 = preimage_subset(jn.right.map, l2.predicate, budget=budget)
+    return Language(jn.genmap, fs_boolean(op, u1, u2, budget=budget))
 
 
 # --- syntactic monoids ----------------------------------------------------
@@ -151,7 +155,7 @@ def syntactic_congruence(m, p, budget=None):
         raise InvalidInput("predicate must live in the monoid's carrier")
     s = p.support
     prod = m.product
-    gens = generating_orbits(m)
+    gens = sorted(generating_orbits(m))
     nodes = _full_keys(prod.set, len(s), budget)
     preds = {key: [] for key in nodes}
     removed = []
@@ -172,9 +176,7 @@ def syntactic_congruence(m, p, budget=None):
         t = s.union(e.tuple)
         us = contexts.get(t)
         if us is None:
-            us = contexts[t] = [
-                u for u in s_orbit_reps(m.carrier, t, budget=budget) if u.orbit in gens
-            ]
+            us = contexts[t] = s_orbit_reps(m.carrier, t, budget=budget, orbits=gens)
         for u in us:
             for target in (
                 prod.pair(times(u, x), times(u, y)),
@@ -222,7 +224,7 @@ def syntactic_of_language(lang, budget=None):
 # --- stock languages ------------------------------------------------------
 
 
-def catalog_language(name):
+def catalog_language(name, budget=None):
     """Stock recognizers over the alphabet A.
 
     l0: some letter repeats adjacently. first-a / last-a: first (last)
@@ -230,7 +232,8 @@ def catalog_language(name):
     atom a = 0. l2-any: the union of a A* a over all atoms a.
     The l2 recognizers join the endpoints evaluation with a length
     counter 0 / 1 / 2-or-more, since the endpoints alone cannot tell a
-    from a...a: 4 orbits, accepting the value of the word a a.
+    from a...a: 4 orbits, accepting the value of the word a a. The
+    joins and the counter's table are charged to ``budget``.
     """
     from nommon.catalog import builder, letters_map
 
@@ -252,10 +255,12 @@ def catalog_language(name):
             counter,
             Element(counter, 0, ()),
             lambda x, y: Element(counter, min(x.orbit + y.orbit, 2), ()),
+            budget=budget,
         )
         one = Element(counter, 1, ())
         lengths = map_from_concrete(sigma, counter, lambda a: one)
-        gm = join(endpoints_bound().data, GeneratorMap(sigma, length, lengths)).genmap
+        ends = endpoints_bound(budget).data
+        gm = join(ends, GeneratorMap(sigma, length, lengths), budget).genmap
         aa_long = gm.eval_word(Word.of_atoms([0, 0]).letters)
         if name == "l2-fixed":
             pred = FsSubset.singleton(aa_long)

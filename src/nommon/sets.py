@@ -254,21 +254,23 @@ def instantiate_s_key(owner, key, support):
     return Element(owner, orbit_index, out)
 
 
-def s_orbit_reps(owner, support, budget=None):
-    """One canonical representative per Perm_S-orbit of the set.
+def s_orbit_reps(owner, support, budget=None, orbits=None):
+    """One canonical representative per Perm_S-orbit of the set, or of
+    its ``orbits`` (indices in ascending order) when given.
 
     Per carrier orbit, ``orbit_tuples`` gives one tuple per Perm_S-orbit
     of its injective tuples (one tick each); a nontrivial position group
     can merge several of them into one S-orbit of elements, so keys are
     still deduplicated. Reps come orbit by orbit, in the order of their
-    first tuple in the sweep over S plus n fresh atoms.
+    first tuple in the sweep over S plus n fresh atoms, so the reps over
+    some orbits are the full list filtered to them.
     """
     budget = ensure_budget(budget)
     s = sorted(set(support))
     reps = []
     seen = set()
-    for i, desc in enumerate(owner.orbits):
-        n = desc.dim
+    for i in range(len(owner.orbits)) if orbits is None else orbits:
+        n = owner.orbits[i].dim
         fresh = islice(fresh_stream(s), n)
         for t in orbit_tuples(s, fresh, n):
             budget.tick()

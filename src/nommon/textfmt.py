@@ -22,7 +22,7 @@ serialization of canonical objects round-trips exactly.
 import re
 from contextlib import contextmanager
 
-from nommon.errors import InvalidInput
+from nommon.errors import InvalidInput, ensure_budget
 from nommon.kernel import min_coset
 from nommon.monoid import MonoidMorphism, NominalMonoid
 from nommon.sets import (
@@ -163,7 +163,7 @@ def _mult_entries(m):
     ]
 
 
-def _carrier_block(head, lines, start):
+def _carrier_block(head, lines, start, budget):
     """The set or monoid of a block's lines."""
     orbits, units, mults = [], [], []
 
@@ -187,20 +187,21 @@ def _carrier_block(head, lines, start):
         return OrbitFiniteSet(orbits)
     if not units:
         raise InvalidInput("monoid block needs a 'unit <orbit>' line")
-    return _build_monoid(OrbitFiniteSet(orbits), units[0], mults)
+    return _build_monoid(OrbitFiniteSet(orbits), units[0], mults, budget)
 
 
-def _build_monoid(carrier, unit_line, mult_lines):
+def _build_monoid(carrier, unit_line, mult_lines, budget):
     """The monoid of its unit and mult lines, each read with its number.
 
     A mult line's labels are read as atoms, and ``product.pair`` finds
     the product orbit of its pair; the value moves to that orbit's
-    reference pair, whose atoms are the positions 0..d-1.
+    reference pair, whose atoms are the positions 0..d-1. The
+    enumeration of carrier x carrier is charged to ``budget``.
     """
     orbit, line = unit_line
     with _at(line):
         unit = Element(carrier, orbit, ())
-    product = product_set(carrier, carrier)
+    product = product_set(carrier, carrier, budget=budget)
     assignment = [None] * len(product.patterns)
     for ((i, left), (j, right), (r, value)), line in mult_lines:
         with _at(line):
@@ -387,14 +388,14 @@ _ONE_LINE = {
 }
 
 
-def _declaration(tokens, lines, start, out):
+def _declaration(tokens, lines, start, out, budget):
     """(name, object) of the declaration that starts on this line; a
     block declaration reads its lines from ``lines``."""
     head, rest = tokens[0], tokens[1:]
     if head in ("set", "monoid"):
         if len(rest) != 1:
             raise InvalidInput(f"expected '{head} NAME'")
-        return rest[0], _carrier_block(head, lines, start)
+        return rest[0], _carrier_block(head, lines, start, budget)
     if head == "morphism":
         m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", " ".join(rest))
         if not m:
@@ -420,15 +421,20 @@ def _declaration(tokens, lines, start, out):
     raise InvalidInput(f"unknown declaration {head!r}")
 
 
-def parse(document):
-    """Parse a definition document into an ordered name -> object dict."""
+def parse(document, budget=None):
+    """Parse a definition document into an ordered name -> object dict.
+
+    The enumeration of each monoid's carrier x carrier is charged to
+    ``budget``.
+    """
+    budget = ensure_budget(budget)
     out = {}
     lines = enumerate(document.splitlines(), 1)
     for line, text in lines:
         tokens = text.split()
         if tokens and not tokens[0].startswith("#"):
             with _at(line):
-                name, obj = _declaration(tokens, lines, line, out)
+                name, obj = _declaration(tokens, lines, line, out, budget)
             out[name] = obj
     return out
 

@@ -5,7 +5,8 @@ syntactic congruence as a greatest fixpoint on S-orbits of pairs, the
 least support of a subset in one transposition pass, S-orbits and
 product orbits by enumerating one tuple per orbit, product stabilizers
 from G_x x G_y, checks associativity on S-orbit representatives
-memoized per support, encodes S-orbit keys as integer labels,
+memoized per support with the third factor in the generating orbits
+only (Light's test), encodes S-orbit keys as integer labels,
 refines, coarsens and complements subsets on those labels, closes
 pairing images on pair patterns, and restricts an ambient monoid's
 table to a submonoid's orbits. These are the direct definitions those
@@ -413,10 +414,11 @@ def stabilizer(left, right, x_orbit, x_labels, y_orbit, y_labels, d):
     return tuple(sorted(stab))
 
 
-def validate_monoid_unmemoized(m, budget=None):
+def validate_monoid_unmemoized(m, budget=None, z_orbits=None):
     """The monoid axioms with associativity checked on S-orbit
-    representatives as ``nommon.monoid.validate_monoid`` does, but
-    enumerating them afresh for every (x, y)."""
+    representatives, enumerated afresh for every (x, y): z over every
+    orbit, or over ``z_orbits`` (ascending) when given, which with the
+    generating orbits is what ``nommon.monoid.validate_monoid`` checks."""
     budget = ensure_budget(budget)
     failures = []
     if m.unit.tuple != ():
@@ -434,7 +436,9 @@ def validate_monoid_unmemoized(m, budget=None):
     for x in reps:
         for y in fast_s_orbit_reps(m.carrier, x.tuple, budget=budget):
             xy_atoms = x.tuple + y.tuple
-            for z in fast_s_orbit_reps(m.carrier, xy_atoms, budget=budget):
+            for z in fast_s_orbit_reps(
+                m.carrier, xy_atoms, budget=budget, orbits=z_orbits
+            ):
                 budget.tick()
                 lhs = m.multiply(m.multiply(x, y), z)
                 rhs = m.multiply(x, m.multiply(y, z))

@@ -294,7 +294,8 @@ def record_events(monkeypatch, m, budget):
     multiply, tick = m.multiply, budget.tick
 
     def counted_multiply(x, y):
-        events.append("hit" if (x, y) in m._cache else "product")
+        key = (x.orbit, x.tuple, y.orbit, y.tuple)  # the cache key of multiply
+        events.append("hit" if key in m._cache else "product")
         return multiply(x, y)
 
     def counted_tick(n=1):

@@ -4,7 +4,9 @@ from nommon.catalog import builder
 from nommon.cli import main
 from nommon.errors import Budget
 from nommon.language import catalog_language, syntactic_of_language
-from nommon.textfmt import serialize
+from nommon.monoid import monoid_from_concrete, validate_monoid
+from nommon.sets import OrbitDescriptor, OrbitFiniteSet
+from nommon.textfmt import parse, serialize
 
 
 def run(capsys, *argv):
@@ -168,6 +170,27 @@ def test_syntactic_budget_exhaustion(capsys):
     syntactic_of_language(catalog_language("l0"), budget=full)
     assert full.used > 500
     code, out = run(capsys, "syntactic", "l0", "--budget", "500")
+    assert code == 3
+    assert "budget exhausted" in out
+
+
+def test_validate_file_budget_covers_the_parse(tmp_path, capsys):
+    # a unit and a left-zero band on 4-sets of atoms: parsing enumerates
+    # 212 tuples of its square, more than Light's test saves on the
+    # 21,465 ticks of the associativity check over every z
+    carrier = OrbitFiniteSet(
+        [OrbitDescriptor(0), OrbitDescriptor(4, [(1, 0, 2, 3), (1, 2, 3, 0)])]
+    )
+    unit = carrier.element(0, ())
+    band = monoid_from_concrete(carrier, unit, lambda x, y: y if x == unit else x)
+    doc = serialize({"band": band})
+    parsing, validating = Budget(), Budget()
+    assert validate_monoid(parse(doc, parsing)["band"], budget=validating).ok
+    limit = 21_550
+    assert validating.used <= limit < parsing.used + validating.used
+    path = tmp_path / "band.nom"
+    path.write_text(doc)
+    code, out = run(capsys, "validate", str(path), "--budget", str(limit))
     assert code == 3
     assert "budget exhausted" in out
 

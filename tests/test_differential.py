@@ -34,11 +34,13 @@ from nommon.language import (
 from nommon.monoid import (
     GeneratorMap,
     NominalMonoid,
+    _monoid_tables,
     closed_orbit_indices,
     coimage,
     enumerate_monoid_maps,
     enumerate_small_monoids,
     find_isomorphism,
+    generating_orbits,
     monoid_from_concrete,
     product_monoid,
     submonoid_from_orbits,
@@ -389,15 +391,28 @@ def test_validate_matches_all_triples_on_bound_one_products(left):
         assert validate_monoid(m).ok == reference.validate_monoid(m).ok
 
 
+def assert_light_test_matches(m):
+    """validate_monoid finds the failures of the check over every z that
+    have z in a generating orbit, in order, and charges what the
+    unmemoized check over those z does."""
+    gens = sorted(generating_orbits(m))
+    everything = reference.validate_monoid_unmemoized(m).failures
+    expected = tuple(
+        (kind, w) for kind, w in everything
+        if kind != "associativity" or w[2].orbit in gens
+    )
+    fast, slow = Budget(), Budget()
+    report = validate_monoid(m, budget=fast)
+    assert report.failures == expected
+    assert report.ok == (not everything)
+    reference.validate_monoid_unmemoized(m, budget=slow, z_orbits=gens)
+    assert fast.used == slow.used
+
+
 @pytest.mark.parametrize("left", LOW_BOUND)
 def test_validate_memo_charges_like_the_unmemoized_path(left):
     for right in LOW_BOUND:
-        m = product_monoid(builder(left), builder(right)).monoid
-        fast, slow = Budget(), Budget()
-        assert validate_monoid(m, budget=fast).failures == (
-            reference.validate_monoid_unmemoized(m, budget=slow).failures
-        )
-        assert fast.used == slow.used
+        assert_light_test_matches(product_monoid(builder(left), builder(right)).monoid)
 
 
 def redirect(m, p, z):
@@ -411,10 +426,10 @@ def redirect(m, p, z):
 
 
 @st.composite
-def redirected_tables(draw):
-    """A catalog monoid with one product orbit sent to another element
+def redirected_tables(draw, monoids):
+    """One of the monoids with one product orbit sent to another element
     supported by the orbit's atoms (possibly its own product)."""
-    m = builder(draw(st.sampled_from(catalog_names())))
+    m = draw(st.sampled_from(monoids))
     p = draw(st.sampled_from(range(len(m.product.set.orbits))))
     atoms = range(m.product.set.orbits[p].dim)
     z = draw(st.sampled_from(elements_with_support(m.carrier, atoms)))
@@ -422,14 +437,10 @@ def redirected_tables(draw):
 
 
 @settings(max_examples=100, **DETERMINISTIC)
-@given(redirected_tables())
+@given(redirected_tables([builder(n) for n in catalog_names()]))
 def test_validate_matches_all_triples_on_corrupted_tables(m):
     assert validate_monoid(m).ok == reference.validate_monoid(m).ok
-    fast, slow = Budget(), Budget()
-    assert validate_monoid(m, budget=fast).failures == (
-        reference.validate_monoid_unmemoized(m, budget=slow).failures
-    )
-    assert fast.used == slow.used
+    assert_light_test_matches(m)
 
 
 def test_validate_catches_unit_row_and_associativity_corruption():
@@ -540,6 +551,57 @@ def unordered_pair_zero():
         return zero
 
     return monoid_from_concrete(carrier, unit, mult)
+
+
+# --- Light's associativity test and the multiply cache on position groups
+
+# null monoids with a Z/2, C3, S3 or Z/2 x Z/2 orbit, and unordered pairs
+POSITION_GROUP_MONOIDS = [null_monoid(o) for o in SYMMETRIC.orbits[3:]] + [
+    unordered_pair_zero()
+]
+
+
+@pytest.mark.parametrize(
+    "m", POSITION_GROUP_MONOIDS, ids=["Z2", "C3", "S3", "Z2xZ2", "pairs"]
+)
+def test_validate_light_test_on_position_groups(m):
+    assert validate_monoid(m).ok
+    assert_light_test_matches(m)
+
+
+# the Z/2 x Z/2 null monoid is left out: its all-z oracle takes about a second
+@settings(max_examples=60, **DETERMINISTIC)
+@given(redirected_tables(POSITION_GROUP_MONOIDS[:3] + POSITION_GROUP_MONOIDS[4:]))
+def test_validate_light_test_on_corrupted_position_group_tables(m):
+    assert_light_test_matches(m)
+
+
+@pytest.mark.parametrize("dims", [(0,), (0, 0), (0, 1)])
+def test_validate_light_test_on_every_small_candidate_table(dims):
+    # the tables enumerate_small_monoids(2, 1) checks
+    carrier = strong_set(dims)
+    unit = carrier.element(0, ())
+    for prod, mult in _monoid_tables(carrier, unit, Budget()):
+        try:
+            m = NominalMonoid(carrier, unit, mult, prod)
+        except InvalidInput:
+            continue
+        assert validate_monoid(m).ok == reference.validate_monoid(m).ok
+        assert_light_test_matches(m)
+
+
+@settings(max_examples=200, **DETERMINISTIC)
+@given(st.data())
+def test_multiply_is_the_table_on_equal_carriers(data):
+    m = data.draw(st.sampled_from(POSITION_GROUP_MONOIDS))
+    # the same carrier as a value, held by another object
+    twin = OrbitFiniteSet(m.carrier.orbits)
+    xs = [data.draw(elements(m.carrier, atoms=range(5))) for _ in range(2)]
+    pairs = [xs, [twin.element(e.orbit, e.tuple) for e in xs]]
+    if data.draw(st.booleans()):
+        pairs.reverse()  # the twin's product fills the cache first
+    for x, y in pairs:
+        assert m.multiply(x, y) == m.mult(m.product.pair(x, y))
 
 
 # monoids with a Z/2 orbit, and catalog monoids; bound at most 2, since

@@ -265,4 +265,4 @@ def test_syntactic_budget_contract(monkeypatch):
     last = len(events) - 1 - events[::-1].index("multiply")
     assert events[last + 1 :] == ["tick"] * pops
     assert budget.used == nodes + context_ticks + 4 * edges + pops
-    assert (nodes, context_ticks, edges, pops) == (69, 120, 118, 51)
+    assert (nodes, context_ticks, edges, pops) == (69, 14, 118, 51)
