@@ -244,7 +244,7 @@ class ClassifyResult:
         )
 
 
-def classify_quotient(e, budget=None, orbit_cap=MSR_ORBIT_CAP):
+def classify_quotient(e, budget=None):
     """support-preserving / support-reflecting / MSR flags for e.
 
     R_e is the set of orbits whose elements keep their full support
@@ -267,9 +267,9 @@ def classify_quotient(e, budget=None, orbit_cap=MSR_ORBIT_CAP):
     support_preserving = len(r_orbits) == len(m.carrier.orbits)
     reflected = {e.map.assignment[i].orbit for i in r_orbits}
     support_reflecting = reflected == set(range(n_orbit_count))
-    if len(r_orbits) > orbit_cap:
+    if len(r_orbits) > MSR_ORBIT_CAP:
         raise CapExceeded(
-            f"MSR search over {len(r_orbits)} orbits exceeds the cap {orbit_cap}"
+            f"MSR search over {len(r_orbits)} orbits exceeds the cap {MSR_ORBIT_CAP}"
         )
     msr = False
     certificate = None

@@ -50,25 +50,30 @@ def _resolve_bound(name, budget):
     raise InvalidInput(f"unknown bound {name!r}")
 
 
+def _read_definitions(path, kind, args, budget):
+    """The (name, object) pairs of a definition file, parsed on
+    ``budget``, whose object is a ``kind`` named ``--name`` if given."""
+    from nommon.textfmt import parse
+
+    with open(path) as fh:
+        objects = parse(fh.read(), budget)
+    return [
+        (name, obj)
+        for name, obj in objects.items()
+        if isinstance(obj, kind) and (not args.name or name == args.name)
+    ]
+
+
 def _load_monoids(target, args, budget):
     """A catalog name or a definition file, parsed on ``budget``;
     returns [(name, monoid)]."""
     from nommon.catalog import builder, catalog_names
     from nommon.monoid import NominalMonoid
-    from nommon.textfmt import parse
 
     if target in catalog_names():
         return [(target, builder(target))]
     if os.path.exists(target):
-        with open(target) as fh:
-            objects = parse(fh.read(), budget)
-        found = [
-            (name, obj)
-            for name, obj in objects.items()
-            if isinstance(obj, NominalMonoid)
-        ]
-        if args.name:
-            found = [(n, m) for n, m in found if n == args.name]
+        found = _read_definitions(target, NominalMonoid, args, budget)
         if not found:
             raise InvalidInput(f"no monoid found in {target!r}")
         return found
@@ -78,25 +83,16 @@ def _load_monoids(target, args, budget):
 def _resolve_quotient(name, args, budget):
     from nommon.catalog import catalog_quotient
     from nommon.monoid import MonoidMorphism
-    from nommon.textfmt import parse
 
     alias = {"ex-compare": "compare", "ex-no-s-quot": "no-s-quot"}
     key = alias.get(name, name)
     if key in ("compare", "no-s-quot"):
         return catalog_quotient(key)
     if os.path.exists(name):
-        with open(name) as fh:
-            objects = parse(fh.read(), budget)
-        morphisms = [o for o in objects.values() if isinstance(o, MonoidMorphism)]
-        if args.name:
-            morphisms = [
-                o
-                for n, o in objects.items()
-                if n == args.name and isinstance(o, MonoidMorphism)
-            ]
+        morphisms = _read_definitions(name, MonoidMorphism, args, budget)
         if len(morphisms) != 1:
             raise InvalidInput("expected exactly one morphism (use --name)")
-        return morphisms[0]
+        return morphisms[0][1]
     raise InvalidInput(f"unknown quotient {name!r}")
 
 
@@ -178,19 +174,15 @@ def cmd_syntactic(args, report, budget):
 
 
 def cmd_aperiodic(args, report, budget):
-    from nommon.monoid import is_aperiodic, omega_power
-    from nommon.sets import orbit_reps
+    from nommon.monoid import is_aperiodic
 
     code = HOLDS
     for name, m in _load_monoids(args.target, args, budget):
-        if is_aperiodic(m):
+        r = is_aperiodic(m)
+        if r.ok:
             report.say(f"{name}: aperiodic")
         else:
-            witness = next(
-                x
-                for x in orbit_reps(m.carrier)
-                if m.multiply(omega_power(m, x), x) != omega_power(m, x)
-            )
+            _kind, witness = r.failures[0]
             report.say(f"{name}: NOT aperiodic, witness {_fmt_element(witness)}")
             code = REFUTED
     return code

@@ -15,7 +15,7 @@ The operations work on label tuples alone and build no elements:
   S' \\ S;
 - coarsen (S to T <= S): the labels of atoms outside T become fresh;
 - swap: a transposition of two atoms of S exchanges their labels;
-- full keys over |S| atoms: one label tuple per ``orbit_tuples`` tuple.
+- full keys over |S| atoms: ``sets.s_orbit_keys``.
 
 Every relabeled tuple is re-minimized over its orbit's position group
 by ``sets.first_occurrence_labels``. Binary boolean operations refine
@@ -26,17 +26,15 @@ subset, and coarsens to them. ``hull`` refines to S + supp U and
 coarsens to S. Each key operation ticks the budget once.
 """
 
-from functools import lru_cache
-
 from nommon.errors import InvalidInput, ensure_budget
 from nommon.perm import fresh_stream
 from nommon.sets import (
+    _identity_labels,
     act,
     first_occurrence_labels,
     instantiate_s_key,
-    orbit_tuples,
     s_orbit_key,
-    s_orbit_reps,
+    s_orbit_keys,
 )
 
 
@@ -64,11 +62,13 @@ class FsSubset:
     @staticmethod
     def from_predicate(carrier, support, pred, budget=None):
         """Subset of all x with pred(x), assuming pred is S-invariant."""
+        budget = ensure_budget(budget)
         support = frozenset(support)
-        keys = set()
-        for r in s_orbit_reps(carrier, support, budget=budget):
-            if pred(r):
-                keys.add(s_orbit_key(r, support))
+        keys = [
+            key
+            for key in s_orbit_keys(carrier, len(support), budget)
+            if pred(instantiate_s_key(carrier, key, support))
+        ]
         return FsSubset(carrier, support, keys, budget=budget)
 
     @staticmethod
@@ -106,12 +106,6 @@ def member(subset, x):
     if x.set != subset.carrier:
         raise InvalidInput("element does not belong to the subset's carrier")
     return s_orbit_key(x, subset.support) in subset.keys
-
-
-@lru_cache(maxsize=64)
-def _identity_labels(n):
-    """{i: i for i < n}, shared between callers and never mutated."""
-    return {i: i for i in range(n)}
 
 
 def _minimize(carrier, orbit, t, n):
@@ -175,17 +169,6 @@ def _coarsen(carrier, keys, support, smaller, budget):
     return out
 
 
-def _full_keys(carrier, n, budget):
-    """Every key over n support atoms; one tick per ``orbit_tuples`` tuple."""
-    keys = set()
-    for i, desc in enumerate(carrier.orbits):
-        d = desc.dim
-        for t in orbit_tuples(range(n), range(n, n + d), d):
-            budget.tick()
-            keys.add(_minimize(carrier, i, t, n))
-    return keys
-
-
 def _normalize(carrier, support, keys, budget=None):
     """Shrink the support to the least one fixing the subset.
 
@@ -233,8 +216,8 @@ def fs_boolean(op, u, v=None, budget=None):
     if op == "complement":
         # a permutation fixes U iff it fixes its complement, so the
         # complement's least support is U's
-        full = _full_keys(u.carrier, len(u.support), budget)
-        return FsSubset(u.carrier, u.support, full - u.keys, _normalized=True)
+        full = s_orbit_keys(u.carrier, len(u.support), budget)
+        return FsSubset(u.carrier, u.support, frozenset(full) - u.keys, _normalized=True)
     if v is None:
         raise InvalidInput(f"operation {op} needs two operands")
     if u.carrier != v.carrier:

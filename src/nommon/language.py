@@ -9,7 +9,7 @@ on the S-orbits of pairs of M, for S the predicate's support.
 
 from nommon.bounds import endpoints_bound, join
 from nommon.errors import InvalidInput, ensure_budget
-from nommon.fssets import FsSubset, _full_keys, fs_boolean
+from nommon.fssets import FsSubset, fs_boolean
 from nommon.fssets import member as fs_member
 from nommon.fssets import preimage_subset
 from nommon.monoid import (
@@ -28,6 +28,7 @@ from nommon.sets import (
     instantiate_s_key,
     map_from_concrete,
     s_orbit_key,
+    s_orbit_keys,
     s_orbit_reps,
     strong_set,
 )
@@ -156,7 +157,7 @@ def syntactic_congruence(m, p, budget=None):
     s = p.support
     prod = m.product
     gens = sorted(generating_orbits(m))
-    nodes = _full_keys(prod.set, len(s), budget)
+    nodes = s_orbit_keys(prod.set, len(s), budget)
     preds = {key: [] for key in nodes}
     removed = []
     contexts = {}  # S + supp x + supp y -> generator representatives
@@ -190,7 +191,7 @@ def syntactic_congruence(m, p, budget=None):
             if key not in dead:
                 dead.add(key)
                 removed.append(key)
-    return Congruence(m, FsSubset(prod.set, s, nodes - dead))
+    return Congruence(m, FsSubset(prod.set, s, frozenset(nodes) - dead))
 
 
 def syntactic_monoid(m, p, budget=None):

@@ -12,7 +12,7 @@ from math import factorial
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.fssets import member as fs_member
-from nommon.perm import Perm, extend_injection, fresh_stream
+from nommon.perm import fresh_stream
 from nommon.sets import (
     GROUP_CAP,
     Assignment,
@@ -22,7 +22,6 @@ from nommon.sets import (
     OrbitFiniteSet,
     ProductSet,
     Report,
-    act,
     check_map_well_defined,
     coset_breakers,
     elements_with_support,
@@ -79,16 +78,14 @@ class NominalMonoid:
         return f"NominalMonoid({len(self.carrier.orbits)} orbits)"
 
 
-def monoid_from_concrete(carrier, unit, mult_value, product=None, budget=None):
+def monoid_from_concrete(carrier, unit, mult_value, budget=None):
     """Monoid whose multiplication is read off a concrete function.
 
     ``mult_value`` is evaluated once per product-orbit reference pair;
     its results must stay inside the pair's atoms (equivariance). The
-    enumeration of carrier x carrier, when no product is passed in, is
-    charged to ``budget``.
+    enumeration of carrier x carrier is charged to ``budget``.
     """
-    if product is None:
-        product = product_set(carrier, carrier, budget=budget)
+    product = product_set(carrier, carrier, budget=budget)
 
     def fn(e):
         x, y = product.unpair(e)
@@ -252,11 +249,14 @@ def check_omega_formula(m):
 
 
 def is_aperiodic(m):
-    """x^w . x = x^w on every orbit representative."""
-    return all(
-        m.multiply(omega_power(m, x), x) == omega_power(m, x)
-        for x in orbit_reps(m.carrier)
-    )
+    """Does x^w . x = x^w hold on every orbit representative? Each rep
+    x where it fails is a failure ("not-aperiodic", x)."""
+    failures = []
+    for x in orbit_reps(m.carrier):
+        e = omega_power(m, x)
+        if m.multiply(e, x) != e:
+            failures.append(("not-aperiodic", x))
+    return Report(failures)
 
 
 # --- morphisms ------------------------------------------------------------
@@ -566,89 +566,85 @@ class QuotientResult:
 def quotient(m, cong, budget=None):
     """M / ~ for an equivariant congruence, with the projection.
 
-    Each congruence class [x] is an element of the quotient; its least
+    The pair set of an equivariant congruence is a union of orbits of
+    M x M, so x ~ y iff the product orbit of (x, y) is kept. Each
+    congruence class [x] is an element of the quotient; its least
     support (a subset of supp x, found by fresh-transposition tests)
     gives the dimension, and the permutations of that support fixing
-    the class give the positional group.
+    the class give the positional group. The classes of orbit j lie in
+    the quotient orbit of the least orbit i for which some kept product
+    orbit has factors (i, j), so j is aligned against that one only.
     """
     budget = ensure_budget(budget)
     if cong.pairs.support:
         raise InvalidInput("quotient requires an equivariant congruence")
-    related = cong.related
+    # with empty support, each key of the pair set is (orbit, 0..d-1)
+    kept = {orbit for orbit, _ in cong.pairs.keys}
     carrier = m.carrier
+    least = {}  # orbit j -> the least i with a kept product orbit of factors (i, j)
+    for p, (i, j) in enumerate(m.product.factors):
+        if p in kept:
+            least[j] = min(i, least.get(j, i))
 
-    def class_support(x):
-        atoms = sorted(x.tuple)
-        b = next(fresh_stream(atoms))
-        return tuple(
-            a for a in atoms if not related(x, act(Perm.swap(a, b), x))
-        )
+    def related(x, y):
+        return m.product.pair(x, y).orbit in kept
+
+    def renamed(i, names, avoid=()):
+        """The rep of orbit i (atoms 0..d-1) with each atom in ``names``
+        renamed as it says and every other atom fresh, outside
+        ``avoid`` and the new names."""
+        fresh = fresh_stream(set(avoid) | set(names.values()))
+        atoms = range(carrier.orbits[i].dim)
+        return Element(carrier, i, [names[a] if a in names else next(fresh) for a in atoms])
 
     def alignments(src, src_sup, dst, dst_sup):
-        """The sigma in Sym(d) for which a permutation sending src_sup[p]
-        to dst_sup[sigma[p]] maps the class of src to that of dst, one
+        """The sigma in Sym(d) for which renaming src_sup[p] to
+        dst_sup[sigma[p]] maps the class of src to that of dst, one
         tick per sigma tried."""
-        d = len(dst_sup)
-        avoid = set(dst.tuple) | set(src.tuple)
-        for sigma in itertools.permutations(range(d)):
+        for sigma in itertools.permutations(range(len(dst_sup))):
             budget.tick()
-            pi = extend_injection(
-                {src_sup[p]: dst_sup[sigma[p]] for p in range(d)},
-                moved_from=src.tuple,
-                avoid=avoid,
-            )
-            if related(act(pi, src), dst):
+            names = {src_sup[p]: dst_sup[s] for p, s in enumerate(sigma)}
+            if related(renamed(src.orbit, names, dst.tuple), dst):
                 yield sigma
 
-    # entries: one per quotient orbit, (m_orbit, rep, support tuple)
-    entries = []
+    entries = []  # one per quotient orbit: (rep of its first orbit, class support)
     descriptors = []
     assignment = []
-    for i, desc in enumerate(carrier.orbits):
+    for j, desc in enumerate(carrier.orbits):
         budget.tick()
-        rep = Element(carrier, i, range(desc.dim))
-        sup = class_support(rep)
-        match = next(
-            (
-                (q, sigma)
-                for q, (_, qrep, qsup) in enumerate(entries)
-                if len(qsup) == len(sup)
-                for sigma in alignments(qrep, qsup, rep, sup)
-            ),
-            None,
+        rep = Element(carrier, j, range(desc.dim))
+        # the class support: the atoms a that renaming a alone moves out of the class
+        sup = tuple(
+            a
+            for a in rep.tuple
+            if not related(rep, renamed(j, {b: b for b in rep.tuple if b != a}, rep.tuple))
         )
-        pos_of = {a: p for p, a in enumerate(rep.tuple)}
-        if match is None:
+        i = least.get(j, j)
+        sigma = None
+        if i < j:
+            q = assignment[i].orbit
+            sigma = next(alignments(*entries[q], rep, sup), None)
+        # rep's atom a sits at position a, so sup is its own posmap
+        if sigma is None:
             stab = list(alignments(rep, sup, rep, sup))
             if len(stab) > GROUP_CAP:
                 raise CapExceeded("quotient orbit group exceeds the cap")
-            entries.append((i, rep, sup))
+            entries.append((rep, sup))
             descriptors.append(OrbitDescriptor(len(sup), _group=tuple(sorted(stab))))
-            assignment.append(
-                Assignment(len(descriptors) - 1, tuple(pos_of[a] for a in sup))
-            )
+            assignment.append(Assignment(len(entries) - 1, sup))
         else:
-            q, sigma = match
-            assignment.append(
-                Assignment(q, tuple(pos_of[sup[sigma[p]]] for p in range(len(sup))))
-            )
+            assignment.append(Assignment(q, (sup[s] for s in sigma)))
 
     q_set = OrbitFiniteSet(descriptors)
     proj_map = EquivariantMap(carrier, q_set, assignment)
 
-    def lift(qx, avoid=()):
-        i, rep, sup = entries[qx.orbit]
-        pi = extend_injection(
-            {sup[p]: qx.tuple[p] for p in range(len(sup))},
-            moved_from=rep.tuple,
-            avoid=set(qx.tuple) | set(rep.tuple) | set(avoid),
-        )
-        return act(pi, rep)
+    def lift(qx):
+        # any element of a class stands for it, as ~ is a congruence
+        rep, sup = entries[qx.orbit]
+        return renamed(rep.orbit, dict(zip(sup, qx.tuple)))
 
     def mult_value(qx, qy):
-        lx = lift(qx)
-        ly = lift(qy, avoid=lx.tuple)
-        return proj_map(m.multiply(lx, ly))
+        return proj_map(m.multiply(lift(qx), lift(qy)))
 
     q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value, budget=budget)
     projection = MonoidMorphism(m, q_monoid, proj_map)

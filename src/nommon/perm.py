@@ -59,32 +59,6 @@ class Perm:
         return f"Perm({body})"
 
 
-def extend_injection(mapping, moved_from, avoid):
-    """Extend an injective atom mapping to a genuine finite permutation.
-
-    ``mapping`` sends some atoms injectively to targets. Atoms in
-    ``moved_from`` that have no image are sent to fresh atoms outside
-    ``avoid`` so that the result is a bijection.
-    """
-    m = dict(mapping)
-    used = set(m.values())
-    taken = set(avoid) | used | set(m.keys()) | set(moved_from)
-    fresh = fresh_stream(taken)
-    for a in moved_from:
-        if a not in m:
-            nxt = next(fresh)
-            m[a] = nxt
-            used.add(nxt)
-    # close into a permutation: targets lacking a preimage cycle back
-    sources = set(m.keys())
-    targets = set(m.values())
-    dangling = list(targets - sources)
-    missing = list(sources - targets)
-    for a, b in zip(dangling, missing):
-        m[a] = b
-    return Perm(m)
-
-
 def fresh_stream(avoid):
     """Yields naturals not contained in ``avoid``, smallest first."""
     avoid = set(avoid)

@@ -8,7 +8,7 @@ are pure.
 """
 
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.kernel import apply_positions, min_coset
@@ -18,7 +18,7 @@ GROUP_CAP = 720
 ORBIT_CAP = 4000
 
 
-def generate_group(dim, generators, cap=GROUP_CAP):
+def generate_group(dim, generators):
     """Closure of position-permutation generators, as a sorted tuple."""
     ident = tuple(range(dim))
     for g in generators:
@@ -31,8 +31,8 @@ def generate_group(dim, generators, cap=GROUP_CAP):
         for g in generators:
             q = apply_positions(p, g)
             if q not in group:
-                if len(group) >= cap:
-                    raise CapExceeded(f"group order cap {cap} exceeded")
+                if len(group) >= GROUP_CAP:
+                    raise CapExceeded(f"group order cap {GROUP_CAP} exceeded")
                 group.add(q)
                 frontier.append(q)
     return tuple(sorted(group))
@@ -221,8 +221,8 @@ def first_occurrence_labels(t, perms, fixed):
 @lru_cache(maxsize=256)
 def _rank_labels(support):
     """{i-th least atom of the frozenset support: i}, shared between
-    callers and never mutated. Cached because ``s_orbit_reps`` and
-    ``fssets.member`` key many elements over one support."""
+    callers and never mutated. Cached because ``fssets.member`` and the
+    syntactic congruence key many elements over one support."""
     return {a: i for i, a in enumerate(sorted(support))}
 
 
@@ -254,32 +254,45 @@ def instantiate_s_key(owner, key, support):
     return Element(owner, orbit_index, out)
 
 
+@lru_cache(maxsize=64)
+def _identity_labels(n):
+    """{i: i for i < n}, shared between callers and never mutated."""
+    return {i: i for i in range(n)}
+
+
+def s_orbit_keys(owner, n, budget, orbits=None):
+    """The keys of the Perm_S-orbits of the set, or of its ``orbits``
+    (indices in ascending order) when given, for S of n atoms.
+
+    Per carrier orbit of dimension d, ``orbit_tuples`` over the labels
+    0..n-1 of S and n..n+d-1 for fresh atoms gives one tuple per
+    Perm_S-orbit of its injective tuples (one tick each), keyed by
+    ``first_occurrence_labels`` over the orbit's position group. A
+    nontrivial group can merge several tuples into one key, so keys are
+    kept at their first tuple, in that order.
+    """
+    keys = {}
+    fixed = _identity_labels(n)
+    for i in range(len(owner.orbits)) if orbits is None else orbits:
+        desc = owner.orbits[i]
+        d = desc.dim
+        for t in orbit_tuples(range(n), range(n, n + d), d):
+            budget.tick()
+            keys[i, first_occurrence_labels(t, desc.group, fixed)[0]] = None
+    return list(keys)
+
+
 def s_orbit_reps(owner, support, budget=None, orbits=None):
     """One canonical representative per Perm_S-orbit of the set, or of
-    its ``orbits`` (indices in ascending order) when given.
-
-    Per carrier orbit, ``orbit_tuples`` gives one tuple per Perm_S-orbit
-    of its injective tuples (one tick each); a nontrivial position group
-    can merge several of them into one S-orbit of elements, so keys are
-    still deduplicated. Reps come orbit by orbit, in the order of their
-    first tuple in the sweep over S plus n fresh atoms, so the reps over
-    some orbits are the full list filtered to them.
-    """
+    its ``orbits`` (indices in ascending order) when given: the
+    instances of ``s_orbit_keys``, in their order, so the reps over some
+    orbits are the full list filtered to them."""
     budget = ensure_budget(budget)
-    s = sorted(set(support))
-    reps = []
-    seen = set()
-    for i in range(len(owner.orbits)) if orbits is None else orbits:
-        n = owner.orbits[i].dim
-        fresh = islice(fresh_stream(s), n)
-        for t in orbit_tuples(s, fresh, n):
-            budget.tick()
-            e = Element(owner, i, t)
-            key = s_orbit_key(e, s)
-            if key not in seen:
-                seen.add(key)
-                reps.append(instantiate_s_key(owner, key, s))
-    return reps
+    support = frozenset(support)
+    return [
+        instantiate_s_key(owner, key, support)
+        for key in s_orbit_keys(owner, len(support), budget, orbits)
+    ]
 
 
 def orbit_reps(owner):

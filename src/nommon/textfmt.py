@@ -358,7 +358,7 @@ def _serialize_bound(name, s):
     return f"bound {name} = {label}"
 
 
-def _parse_bound(tokens):
+def _parse_bound(tokens, budget):
     from nommon import bounds
 
     if not tokens:
@@ -368,7 +368,7 @@ def _parse_bound(tokens):
     if tokens == ["first-letter"]:
         return bounds.first_letter_bound()
     if tokens == ["endpoints"]:
-        return bounds.endpoints_bound()
+        return bounds.endpoints_bound(budget)
     raise InvalidInput(f"unknown bound {' '.join(tokens)!r}")
 
 
@@ -381,9 +381,10 @@ def _parse_word(tokens):
     return Word.of_atoms(_atom(t) for t in tokens)
 
 
+# one-line declarations: (tokens after '=', budget) -> object
 _ONE_LINE = {
-    "word": _parse_word,
-    "term": lambda tokens: _parse_term(" ".join(tokens)),
+    "word": lambda tokens, budget: _parse_word(tokens),
+    "term": lambda tokens, budget: _parse_term(" ".join(tokens)),
     "bound": _parse_bound,
 }
 
@@ -417,15 +418,15 @@ def _declaration(tokens, lines, start, out, budget):
     if head in _ONE_LINE:
         if len(rest) < 2 or rest[1] != "=":
             raise InvalidInput(f"expected '{head} NAME = ...'")
-        return rest[0], _ONE_LINE[head](rest[2:])
+        return rest[0], _ONE_LINE[head](rest[2:], budget)
     raise InvalidInput(f"unknown declaration {head!r}")
 
 
 def parse(document, budget=None):
     """Parse a definition document into an ordered name -> object dict.
 
-    The enumeration of each monoid's carrier x carrier is charged to
-    ``budget``.
+    The enumeration of each monoid's carrier x carrier, and the join of
+    an endpoints bound, are charged to ``budget``.
     """
     budget = ensure_budget(budget)
     out = {}

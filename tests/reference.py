@@ -23,13 +23,19 @@ recognizers, the endpoints bound and binary boolean combinations were
 full product monoids, with letters paired by hand; they are joins now.
 The text format wrote each monoid table line from a concrete reference
 pair and read it back by the pair's first-occurrence name pattern; it
-writes and reads lines by product-orbit key now. The differential tests
-check the fast paths against these definitions.
+writes and reads lines by product-orbit key now. S-orbit
+representatives were found by building and keying an element of every
+enumerated tuple; the keys are read off the label tuples now. The
+quotient by an equivariant congruence tested each orbit against every
+earlier class under every alignment, through ``related`` on the pair
+set and ``extend_injection``; it aligns each orbit against the class
+that the congruence's kept product orbits name now. The differential
+tests check the fast paths against these definitions.
 """
 
 import itertools
 import re
-from itertools import permutations
+from itertools import islice, permutations
 
 from nommon import textfmt
 from nommon.bounds import BoundReport, JoinResult, SupportBound
@@ -42,6 +48,7 @@ from nommon.monoid import (
     Congruence,
     GeneratorMap,
     MonoidMorphism,
+    QuotientResult,
     SubMonoid,
     monoid_from_concrete,
     product_monoid,
@@ -51,7 +58,10 @@ from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
     GROUP_CAP,
     ORBIT_CAP,
+    Assignment,
     Element,
+    EquivariantMap,
+    OrbitDescriptor,
     OrbitFiniteSet,
     Report,
     act,
@@ -61,6 +71,7 @@ from nommon.sets import (
     instantiate_s_key,
     map_from_concrete,
     orbit_reps,
+    orbit_tuples,
     pair_pattern as fast_pair_pattern,
     s_orbit_key,
     s_orbit_reps as fast_s_orbit_reps,
@@ -775,3 +786,150 @@ def parse_monoid(document):
         return Element(carrier, r, [back[label] for label in res_idx])
 
     return monoid_from_concrete(carrier, Element(carrier, unit_orbit, ()), mult_value)
+
+
+def s_orbit_reps_keying_elements(owner, support, budget=None, orbits=None):
+    """One canonical representative per Perm_S-orbit of the set, or of
+    its ``orbits`` (indices in ascending order) when given, by building
+    an element of each ``orbit_tuples`` tuple and keying it.
+
+    Per carrier orbit, ``orbit_tuples`` gives one tuple per Perm_S-orbit
+    of its injective tuples (one tick each); a nontrivial position group
+    can merge several of them into one S-orbit of elements, so keys are
+    still deduplicated. Reps come orbit by orbit, in the order of their
+    first tuple in the sweep over S plus n fresh atoms, so the reps over
+    some orbits are the full list filtered to them.
+    """
+    budget = ensure_budget(budget)
+    s = sorted(set(support))
+    reps = []
+    seen = set()
+    for i in range(len(owner.orbits)) if orbits is None else orbits:
+        n = owner.orbits[i].dim
+        fresh = islice(fresh_stream(s), n)
+        for t in orbit_tuples(s, fresh, n):
+            budget.tick()
+            e = Element(owner, i, t)
+            key = s_orbit_key(e, s)
+            if key not in seen:
+                seen.add(key)
+                reps.append(instantiate_s_key(owner, key, s))
+    return reps
+
+
+def extend_injection(mapping, moved_from, avoid):
+    """Extend an injective atom mapping to a genuine finite permutation.
+
+    ``mapping`` sends some atoms injectively to targets. Atoms in
+    ``moved_from`` that have no image are sent to fresh atoms outside
+    ``avoid`` so that the result is a bijection.
+    """
+    m = dict(mapping)
+    used = set(m.values())
+    taken = set(avoid) | used | set(m.keys()) | set(moved_from)
+    fresh = fresh_stream(taken)
+    for a in moved_from:
+        if a not in m:
+            nxt = next(fresh)
+            m[a] = nxt
+            used.add(nxt)
+    # close into a permutation: targets lacking a preimage cycle back
+    sources = set(m.keys())
+    targets = set(m.values())
+    dangling = list(targets - sources)
+    missing = list(sources - targets)
+    for a, b in zip(dangling, missing):
+        m[a] = b
+    return Perm(m)
+
+
+def quotient(m, cong, budget=None):
+    """M / ~ for an equivariant congruence, with the projection.
+
+    Each congruence class [x] is an element of the quotient; its least
+    support (a subset of supp x, found by fresh-transposition tests)
+    gives the dimension, and the permutations of that support fixing
+    the class give the positional group.
+    """
+    budget = ensure_budget(budget)
+    if cong.pairs.support:
+        raise InvalidInput("quotient requires an equivariant congruence")
+    related = cong.related
+    carrier = m.carrier
+
+    def class_support(x):
+        atoms = sorted(x.tuple)
+        b = next(fresh_stream(atoms))
+        return tuple(
+            a for a in atoms if not related(x, act(Perm.swap(a, b), x))
+        )
+
+    def alignments(src, src_sup, dst, dst_sup):
+        """The sigma in Sym(d) for which a permutation sending src_sup[p]
+        to dst_sup[sigma[p]] maps the class of src to that of dst, one
+        tick per sigma tried."""
+        d = len(dst_sup)
+        avoid = set(dst.tuple) | set(src.tuple)
+        for sigma in itertools.permutations(range(d)):
+            budget.tick()
+            pi = extend_injection(
+                {src_sup[p]: dst_sup[sigma[p]] for p in range(d)},
+                moved_from=src.tuple,
+                avoid=avoid,
+            )
+            if related(act(pi, src), dst):
+                yield sigma
+
+    # entries: one per quotient orbit, (m_orbit, rep, support tuple)
+    entries = []
+    descriptors = []
+    assignment = []
+    for i, desc in enumerate(carrier.orbits):
+        budget.tick()
+        rep = Element(carrier, i, range(desc.dim))
+        sup = class_support(rep)
+        match = next(
+            (
+                (q, sigma)
+                for q, (_, qrep, qsup) in enumerate(entries)
+                if len(qsup) == len(sup)
+                for sigma in alignments(qrep, qsup, rep, sup)
+            ),
+            None,
+        )
+        pos_of = {a: p for p, a in enumerate(rep.tuple)}
+        if match is None:
+            stab = list(alignments(rep, sup, rep, sup))
+            if len(stab) > GROUP_CAP:
+                raise CapExceeded("quotient orbit group exceeds the cap")
+            entries.append((i, rep, sup))
+            descriptors.append(OrbitDescriptor(len(sup), _group=tuple(sorted(stab))))
+            assignment.append(
+                Assignment(len(descriptors) - 1, tuple(pos_of[a] for a in sup))
+            )
+        else:
+            q, sigma = match
+            assignment.append(
+                Assignment(q, tuple(pos_of[sup[sigma[p]]] for p in range(len(sup))))
+            )
+
+    q_set = OrbitFiniteSet(descriptors)
+    proj_map = EquivariantMap(carrier, q_set, assignment)
+
+    def lift(qx, avoid=()):
+        i, rep, sup = entries[qx.orbit]
+        pi = extend_injection(
+            {sup[p]: qx.tuple[p] for p in range(len(sup))},
+            moved_from=rep.tuple,
+            avoid=set(qx.tuple) | set(rep.tuple) | set(avoid),
+        )
+        return act(pi, rep)
+
+    def mult_value(qx, qy):
+        lx = lift(qx)
+        ly = lift(qy, avoid=lx.tuple)
+        return proj_map(m.multiply(lx, ly))
+
+    q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value, budget=budget)
+    projection = MonoidMorphism(m, q_monoid, proj_map)
+    return QuotientResult(q_monoid, projection, proj_map)

@@ -4,7 +4,7 @@ from nommon.catalog import builder
 from nommon.cli import main
 from nommon.errors import Budget
 from nommon.language import catalog_language, syntactic_of_language
-from nommon.monoid import monoid_from_concrete, validate_monoid
+from nommon.monoid import identity_morphism, monoid_from_concrete, validate_monoid
 from nommon.sets import OrbitDescriptor, OrbitFiniteSet
 from nommon.textfmt import parse, serialize
 
@@ -23,7 +23,8 @@ def test_aperiodic_holds(capsys):
 def test_aperiodic_refuted_with_witness(capsys):
     code, out = run(capsys, "aperiodic", "cyclic2")
     assert code == 1
-    assert "NOT aperiodic" in out and "witness" in out
+    # the first failure is_aperiodic reports
+    assert out.splitlines() == ["cyclic2: NOT aperiodic, witness orbit 1()"]
 
 
 def test_member_yes(capsys):
@@ -57,6 +58,27 @@ def test_validate_file(tmp_path, capsys):
     code, out = run(capsys, "validate", str(path))
     assert code == 0
     assert "n: valid" in out
+
+
+def test_definition_files_apply_the_name_filter(tmp_path, capsys):
+    m, n = builder("zero_adjoined"), builder("first_proj")
+    doc = serialize(
+        {"m": m, "n": n, "e": identity_morphism(m), "f": identity_morphism(n)}
+    )
+    path = tmp_path / "defs.nom"
+    path.write_text(doc)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 0 and "m: valid" in out and "n: valid" in out
+    code, out = run(capsys, "validate", str(path), "--name", "n")
+    assert code == 0 and out.splitlines() == ["n: valid (2 orbits)"]
+    code, out = run(capsys, "validate", str(path), "--name", "e")
+    assert code == 2 and "no monoid found" in out
+    code, out = run(capsys, "classify-quotient", str(path))
+    assert code == 2 and "exactly one morphism" in out
+    code, out = run(capsys, "classify-quotient", str(path), "--name", "f")
+    assert code == 0 and "support-preserving: yes" in out
+    code, out = run(capsys, "classify-quotient", str(path), "--name", "m")
+    assert code == 2 and "exactly one morphism" in out
 
 
 def test_orbits_listing(capsys):

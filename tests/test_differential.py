@@ -43,6 +43,7 @@ from nommon.monoid import (
     generating_orbits,
     monoid_from_concrete,
     product_monoid,
+    quotient,
     submonoid_from_orbits,
     validate_monoid,
     validate_morphism,
@@ -366,6 +367,22 @@ def test_s_orbit_reps_match_the_tuple_sweep(carrier, support):
     assert fast.used <= slow.used
 
 
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.data())
+def test_s_orbit_reps_match_keying_every_element(data):
+    carrier = data.draw(st.sampled_from(CARRIERS))
+    support = data.draw(st.sets(st.integers(0, 6), max_size=4))
+    orbits = data.draw(
+        st.one_of(st.none(), st.sets(st.sampled_from(range(len(carrier.orbits)))).map(sorted))
+    )
+    fast, slow = Budget(), Budget()
+    reps = s_orbit_reps(carrier, support, budget=fast, orbits=orbits)
+    assert reps == reference.s_orbit_reps_keying_elements(
+        carrier, support, budget=slow, orbits=orbits
+    )
+    assert fast.used == slow.used
+
+
 def test_product_orbits_match_the_tuple_sweep_on_every_carrier_pair():
     for left in CARRIERS:
         for right in CARRIERS:
@@ -632,6 +649,61 @@ def test_syntactic_congruence_on_unordered_pairs():
     assert cong.related(letter(2), letter(3))
     assert not cong.related(letter(0), letter(1))
     assert not cong.related(letter(0), letter(2))
+
+
+# --- quotients read off the kept product orbits ---------------------------
+
+# the syntactic congruence of every orbit-union predicate is equivariant;
+# over these 18 monoids that makes 210 congruences
+QUOTIENT_MONOIDS = {
+    **dict(
+        zip(
+            ["pairs", "Z2", "pair_zero", "cutoff2", "barred", "first_proj", "cyclic3"],
+            SYNTACTIC_MONOIDS,
+        )
+    ),
+    **dict(zip(["Z2", "C3", "S3", "Z2xZ2", "pairs"], POSITION_GROUP_MONOIDS)),
+    **{
+        f"{name}-coimage": coimage(catalog_language(name).genmap)[0].monoid
+        for name in ("l0", "l2-any")
+    },
+    **{
+        name: builder(name)
+        for name in ("cutoff1", "cyclic2", "last_proj", "trivial", "zero_adjoined", "l0_recognizer")
+    },
+}
+
+
+def orbit_unions(m):
+    """Every union of carrier orbits, as an FsSubset of empty support."""
+    everything = [(i, tuple(range(o.dim))) for i, o in enumerate(m.carrier.orbits)]
+    for k in range(len(everything) + 1):
+        for keys in combinations(everything, k):
+            yield FsSubset(m.carrier, (), keys)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_MONOIDS))
+def test_quotient_matches_the_search_over_earlier_classes(name):
+    m = QUOTIENT_MONOIDS[name]
+    for p in orbit_unions(m):
+        cong = syntactic_congruence(m, p)
+        assert not cong.pairs.support
+        fast, slow = Budget(), Budget()
+        q = quotient(m, cong, budget=fast)
+        old = reference.quotient(m, cong, budget=slow)
+        assert q.monoid == old.monoid
+        assert q.projection.map == old.projection.map
+        # only the least related orbit is aligned against
+        assert 0 < fast.used <= slow.used
+
+
+def test_quotient_rejects_a_supported_congruence_like_the_reference():
+    m = unordered_pair_zero()
+    cong = syntactic_congruence(m, FsSubset.singleton(m.carrier.element(2, (1, 0))))
+    assert cong.pairs.support
+    for quotient_of in (quotient, reference.quotient):
+        with pytest.raises(InvalidInput):
+            quotient_of(m, cong)
 
 
 # --- pairing images: s-boundedness and joins ------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nommon import fssets
+from nommon import fssets, sets
 from nommon.errors import Budget, BudgetExhausted, InvalidInput
 from nommon.perm import Perm, fresh_stream
 from nommon.sets import (
@@ -231,6 +231,8 @@ def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
         return relabel(*args)
 
     monkeypatch.setattr(fssets, "first_occurrence_labels", counted_relabel)
+    # the complement's full keys come from sets.s_orbit_keys
+    monkeypatch.setattr(sets, "first_occurrence_labels", counted_relabel)
     budget = Budget()
     tick = budget.tick
 

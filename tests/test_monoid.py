@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+import reference
 from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import Budget, InvalidInput
 from nommon.fssets import FsSubset
@@ -182,7 +183,16 @@ def test_aperiodicity():
     expected = {name: True for name in catalog_names()}
     expected["cyclic2"] = expected["cyclic3"] = False
     for name in catalog_names():
-        assert is_aperiodic(builder(name)) == expected[name]
+        assert is_aperiodic(builder(name)).ok == expected[name]
+
+
+@pytest.mark.parametrize("name, witnesses", [("cyclic2", [1]), ("cyclic3", [1, 2])])
+def test_aperiodicity_failures_name_the_orbit_reps(name, witnesses):
+    m = builder(name)
+    failures = is_aperiodic(m).failures
+    assert failures == tuple(("not-aperiodic", Element(m.carrier, i, ())) for i in witnesses)
+    for _kind, x in failures:
+        assert m.multiply(omega_power(m, x), x) != omega_power(m, x)
 
 
 # --- products and morphisms -----------------------------------------------
@@ -342,6 +352,26 @@ def test_quotient_projection_recovers_congruence():
     for _ in range(60):
         x, y = random_element(rng, m), random_element(rng, m)
         assert (q.class_of(x) == q.class_of(y)) == cong.related(x, y)
+
+
+@pytest.mark.parametrize(
+    "name, same_class",
+    [
+        ("first_proj", lambda x, y: x == y),
+        ("first_proj", lambda x, y: x.orbit == y.orbit),
+        ("pair_zero", lambda x, y: x == y or {x.orbit, y.orbit} <= {2, 3}),
+    ],
+    ids=["identity", "atoms-collapsed", "pair-zero-collapse"],
+)
+def test_quotient_matches_the_search_over_earlier_classes(name, same_class):
+    m = builder(name)
+    cong = congruence(m, same_class)
+    fast, slow = Budget(), Budget()
+    q = quotient(m, cong, budget=fast)
+    old = reference.quotient(m, cong, budget=slow)
+    assert q.monoid == old.monoid
+    assert q.projection.map == old.projection.map
+    assert fast.used <= slow.used
 
 
 def test_quotient_rejects_supported_congruence():

