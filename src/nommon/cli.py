@@ -178,7 +178,7 @@ def cmd_aperiodic(args, report, budget):
 
     code = HOLDS
     for name, m in _load_monoids(args.target, args, budget):
-        r = is_aperiodic(m)
+        r = is_aperiodic(m, budget)
         if r.ok:
             report.say(f"{name}: aperiodic")
         else:

@@ -199,7 +199,7 @@ def syntactic_monoid(m, p, budget=None):
     cong = syntactic_congruence(m, p, budget=budget)
     q = quotient(m, cong, budget=budget)
     pred = FsSubset.from_elements(
-        q.monoid.carrier, p.support, [q.class_of(r) for r in p.reps()]
+        q.monoid.carrier, p.support, [q.projection(r) for r in p.reps()]
     )
     return SyntacticResult(q.monoid, q.projection, pred, cong)
 

@@ -10,11 +10,9 @@ to finite computations on those representatives.
 import itertools
 from math import factorial
 
-from nommon.errors import CapExceeded, InvalidInput, ensure_budget
-from nommon.fssets import member as fs_member
+from nommon.errors import InvalidInput, ensure_budget
 from nommon.perm import fresh_stream
 from nommon.sets import (
-    GROUP_CAP,
     Assignment,
     Element,
     EquivariantMap,
@@ -26,7 +24,7 @@ from nommon.sets import (
     coset_breakers,
     elements_with_support,
     map_from_concrete,
-    min_coset,  # unused here; the tests in perfbench/ read this binding
+    min_coset,
     orbit_reps,
     product_set,
     s_orbit_reps,
@@ -53,6 +51,10 @@ class NominalMonoid:
         self._hash = hash((carrier, unit, mult))
 
     def multiply(self, x, y):
+        c = self.carrier
+        # identity settles almost every call; an equal carrier still passes
+        if (x.set is not c and x.set != c) or (y.set is not c and y.set != c):
+            raise InvalidInput("multiply takes elements of the monoid's carrier")
         # plain tuples hash and compare in C; an element of the carrier is
         # its orbit and canonical tuple
         key = (x.orbit, x.tuple, y.orbit, y.tuple)
@@ -166,8 +168,9 @@ def validate_monoid(m, budget=None):
 # --- powers ---------------------------------------------------------------
 
 
-def _power_cycle(m, x):
-    """Powers x, x^2, ... until the first repetition.
+def _power_cycle(m, x, budget):
+    """Powers x, x^2, ... until the first repetition, one tick before
+    each multiply.
 
     Returns (powers, start, period): powers[i] = x^(i+1), and
     x^(start+1+period) = x^(start+1) is the first repeat.
@@ -178,19 +181,20 @@ def _power_cycle(m, x):
     while cur not in seen:
         seen[cur] = len(powers)
         powers.append(cur)
+        budget.tick()
         cur = m.multiply(cur, x)
     start = seen[cur]
     period = len(powers) - start
     return powers, start, period
 
 
-def power(m, x, e):
+def power(m, x, e, budget=None):
     """x^e for an arbitrary-precision natural e, via cycle reduction."""
     if e < 0:
         raise InvalidInput("negative exponent")
     if e == 0:
         return m.unit
-    powers, start, period = _power_cycle(m, x)
+    powers, start, period = _power_cycle(m, x, ensure_budget(budget))
     if e <= len(powers):
         return powers[e - 1]
     # exponents e and start+1 + (e - start - 1) % period agree past the tail
@@ -198,9 +202,9 @@ def power(m, x, e):
     return powers[idx]
 
 
-def omega_power(m, x):
+def omega_power(m, x, budget=None):
     """The unique idempotent power of x."""
-    powers, start, period = _power_cycle(m, x)
+    powers, start, period = _power_cycle(m, x, ensure_budget(budget))
     idempotents = [
         p for p in powers[start : start + period] if m.multiply(p, p) == p
     ]
@@ -234,26 +238,27 @@ def factorial_power_index(n, start, period):
     return start + (f - 1 - start) % period
 
 
-def check_omega_formula(m):
+def check_omega_formula(m, budget=None):
     """Does x^((n*k!)!) equal the idempotent power for every orbit rep?
 
     n is the orbit count and k the bound; the exponent is reduced
     along each power cycle by ``factorial_power_index``.
     """
+    budget = ensure_budget(budget)
     n = len(m.carrier.orbits) * factorial(m.carrier.bound)
     for x in orbit_reps(m.carrier):
-        powers, start, period = _power_cycle(m, x)
-        if powers[factorial_power_index(n, start, period)] != omega_power(m, x):
+        powers, start, period = _power_cycle(m, x, budget)
+        if powers[factorial_power_index(n, start, period)] != omega_power(m, x, budget):
             return False
     return True
 
 
-def is_aperiodic(m):
+def is_aperiodic(m, budget=None):
     """Does x^w . x = x^w hold on every orbit representative? Each rep
     x where it fails is a failure ("not-aperiodic", x)."""
     failures = []
     for x in orbit_reps(m.carrier):
-        e = omega_power(m, x)
+        e = omega_power(m, x, budget)
         if m.multiply(e, x) != e:
             failures.append(("not-aperiodic", x))
     return Report(failures)
@@ -550,105 +555,97 @@ class Congruence:
         self.monoid = monoid
         self.pairs = pairs
 
-    def related(self, x, y):
-        return fs_member(self.pairs, self.monoid.product.pair(x, y))
-
 
 class QuotientResult:
     """Quotient monoid with its projection morphism."""
 
-    def __init__(self, monoid, projection, class_of):
+    def __init__(self, monoid, projection):
         self.monoid = monoid
         self.projection = projection
-        self.class_of = class_of
 
 
 def quotient(m, cong, budget=None):
     """M / ~ for an equivariant congruence, with the projection.
 
     The pair set of an equivariant congruence is a union of orbits of
-    M x M, so x ~ y iff the product orbit of (x, y) is kept. Each
-    congruence class [x] is an element of the quotient; its least
-    support (a subset of supp x, found by fresh-transposition tests)
-    gives the dimension, and the permutations of that support fixing
-    the class give the positional group. The classes of orbit j lie in
-    the quotient orbit of the least orbit i for which some kept product
-    orbit has factors (i, j), so j is aligned against that one only.
+    M x M, so x ~ y iff the product orbit of (x, y) is kept. A kept key
+    names a related pair (r_i, y): r_i is the rep of orbit i (atoms
+    0..d_i-1), and y, in orbit j, has the key's y labels as its
+    canonical tuple, so y is r_j with each atom a renamed to y[a]. All
+    but the table is read off these keys, with no search:
+
+    - If some kept key has factors (i, j) with i < j (take the least
+      i), then [r_j] = [y] = [r_i]. So j's posmap puts at position p
+      the place in y of the p-th atom of i's posmap, read least under
+      the quotient orbit's group.
+    - Otherwise j leads a new quotient orbit. supp [r_j] is the
+      intersection of supp y over the y ~ r_j, as (a b)x ~ x for a
+      fresh b iff a is not in supp [x]. Every y ~ r_j is the image of a
+      kept key's y under a stabilizer of r_j, which permutes 0..d_j-1
+      by a reading of G_j and the other atoms freely. So the support is
+      the atoms of 0..d_j-1 that every such y holds under every reading.
+    - Its group, the relabelings of the support that keep [r_j], is
+      generated, by the same stabilizer argument, by those that the
+      kept keys of factors (j, j) give (y renames a to y[a]) and those
+      of G_j. ``generate_group`` enforces ``GROUP_CAP``.
+
+    One tick per carrier orbit; the table is then built over the
+    quotient's own square on ``budget``.
     """
     budget = ensure_budget(budget)
     if cong.pairs.support:
         raise InvalidInput("quotient requires an equivariant congruence")
-    # with empty support, each key of the pair set is (orbit, 0..d-1)
-    kept = {orbit for orbit, _ in cong.pairs.keys}
     carrier = m.carrier
-    least = {}  # orbit j -> the least i with a kept product orbit of factors (i, j)
-    for p, (i, j) in enumerate(m.product.factors):
-        if p in kept:
-            least[j] = min(i, least.get(j, i))
+    ys = [[] for _ in carrier.orbits]  # orbit i -> (j, y labels) of its kept keys
+    least = {}  # orbit j -> (i, y labels) of the first kept key of factors (i, j), i < j
+    # with empty support, each key of the pair set is (orbit, 0..d-1); product
+    # orbits come in key order, so the first key of factors (i, j) has the least i
+    for p in sorted(orbit for orbit, _ in cong.pairs.keys):
+        i, _, j, y = m.product.patterns[p]
+        ys[i].append((j, y))
+        if i < j and j not in least:
+            least[j] = (i, y)
 
-    def related(x, y):
-        return m.product.pair(x, y).orbit in kept
-
-    def renamed(i, names, avoid=()):
-        """The rep of orbit i (atoms 0..d-1) with each atom in ``names``
-        renamed as it says and every other atom fresh, outside
-        ``avoid`` and the new names."""
-        fresh = fresh_stream(set(avoid) | set(names.values()))
-        atoms = range(carrier.orbits[i].dim)
-        return Element(carrier, i, [names[a] if a in names else next(fresh) for a in atoms])
-
-    def alignments(src, src_sup, dst, dst_sup):
-        """The sigma in Sym(d) for which renaming src_sup[p] to
-        dst_sup[sigma[p]] maps the class of src to that of dst, one
-        tick per sigma tried."""
-        for sigma in itertools.permutations(range(len(dst_sup))):
-            budget.tick()
-            names = {src_sup[p]: dst_sup[s] for p, s in enumerate(sigma)}
-            if related(renamed(src.orbit, names, dst.tuple), dst):
-                yield sigma
-
-    entries = []  # one per quotient orbit: (rep of its first orbit, class support)
+    entries = []  # one per quotient orbit: (its first orbit, class support)
     descriptors = []
     assignment = []
     for j, desc in enumerate(carrier.orbits):
         budget.tick()
-        rep = Element(carrier, j, range(desc.dim))
-        # the class support: the atoms a that renaming a alone moves out of the class
-        sup = tuple(
-            a
-            for a in rep.tuple
-            if not related(rep, renamed(j, {b: b for b in rep.tuple if b != a}, rep.tuple))
-        )
-        i = least.get(j, j)
-        sigma = None
-        if i < j:
+        if j in least:
+            i, y = least[j]
             q = assignment[i].orbit
-            sigma = next(alignments(*entries[q], rep, sup), None)
-        # rep's atom a sits at position a, so sup is its own posmap
-        if sigma is None:
-            stab = list(alignments(rep, sup, rep, sup))
-            if len(stab) > GROUP_CAP:
-                raise CapExceeded("quotient orbit group exceeds the cap")
-            entries.append((rep, sup))
-            descriptors.append(OrbitDescriptor(len(sup), _group=tuple(sorted(stab))))
-            assignment.append(Assignment(len(entries) - 1, sup))
-        else:
-            assignment.append(Assignment(q, (sup[s] for s in sigma)))
+            position = {a: p for p, a in enumerate(y)}
+            posmap = tuple(position[a] for a in assignment[i].posmap)
+            assignment.append(Assignment(q, min_coset(posmap, descriptors[q].moves)))
+            continue
+        common = set(range(desc.dim)).intersection(*(y for _, y in ys[j]))
+        sup = tuple(a for a in range(desc.dim) if all(g[a] in common for g in desc.group))
+        index = {a: p for p, a in enumerate(sup)}
+        readings = [y for k, y in ys[j] if k == j] + list(desc.moves)
+        gens = [tuple(index[y[a]] for a in sup) for y in readings]
+        entries.append((j, sup))
+        descriptors.append(OrbitDescriptor(len(sup), gens))
+        # r_j's atom a sits at position a, so sup is its own posmap
+        assignment.append(Assignment(len(entries) - 1, sup))
 
     q_set = OrbitFiniteSet(descriptors)
     proj_map = EquivariantMap(carrier, q_set, assignment)
 
     def lift(qx):
-        # any element of a class stands for it, as ~ is a congruence
-        rep, sup = entries[qx.orbit]
-        return renamed(rep.orbit, dict(zip(sup, qx.tuple)))
+        """The rep of qx's first orbit with its class support renamed to
+        qx's atoms and every other atom fresh: any element of a class
+        stands for it, as ~ is a congruence."""
+        j, sup = entries[qx.orbit]
+        names = dict(zip(sup, qx.tuple))
+        fresh = fresh_stream(qx.tuple)
+        atoms = range(carrier.orbits[j].dim)
+        return Element(carrier, j, [names[a] if a in names else next(fresh) for a in atoms])
 
     def mult_value(qx, qy):
         return proj_map(m.multiply(lift(qx), lift(qy)))
 
     q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value, budget=budget)
-    projection = MonoidMorphism(m, q_monoid, proj_map)
-    return QuotientResult(q_monoid, projection, proj_map)
+    return QuotientResult(q_monoid, MonoidMorphism(m, q_monoid, proj_map))
 
 
 # --- enumeration of small monoids and isomorphism -------------------------

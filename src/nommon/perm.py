@@ -20,10 +20,6 @@ class Perm:
         self._hash = hash(frozenset(m.items()))
 
     @staticmethod
-    def identity():
-        return Perm({})
-
-    @staticmethod
     def swap(a, b):
         """The transposition (a b)."""
         if a == b:

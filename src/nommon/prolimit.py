@@ -83,11 +83,11 @@ class OmegaTerm:
         return f"{self.kind.capitalize()}({inner})"
 
 
-def eval_omega_term(h0, t):
+def eval_omega_term(h0, t, budget=None):
     """Structural fold of a term through a generator map.
 
-    Omega is the unique idempotent power, found by cycle arithmetic;
-    the closed-form exponent is never expanded.
+    Omega is the unique idempotent power, found by cycle arithmetic on
+    ``budget``; the closed-form exponent is never expanded.
     """
     m = h0.monoid
     if t.kind == "unit":
@@ -97,10 +97,10 @@ def eval_omega_term(h0, t):
     if t.kind == "concat":
         out = m.unit
         for sub in t.args:
-            out = m.multiply(out, eval_omega_term(h0, sub))
+            out = m.multiply(out, eval_omega_term(h0, sub, budget))
         return out
     if t.kind == "omega":
-        return omega_power(m, eval_omega_term(h0, t.args[0]))
+        return omega_power(m, eval_omega_term(h0, t.args[0], budget), budget)
     raise InvalidInput(f"unknown term kind {t.kind!r}")
 
 
@@ -124,8 +124,8 @@ def satisfies_explicit(m, sigma, s, lhs, rhs, budget=None):
     budget = ensure_budget(budget)
     for h in enumerate_s_bounded(sigma, m, s, budget=budget):
         budget.tick()
-        left = eval_omega_term(h, lhs)
-        right = eval_omega_term(h, rhs)
+        left = eval_omega_term(h, lhs, budget)
+        right = eval_omega_term(h, rhs, budget)
         if left != right:
             return EquationReport(False, (h, left, right))
     return EquationReport(True)

@@ -28,9 +28,9 @@ representatives were found by building and keying an element of every
 enumerated tuple; the keys are read off the label tuples now. The
 quotient by an equivariant congruence tested each orbit against every
 earlier class under every alignment, through ``related`` on the pair
-set and ``extend_injection``; it aligns each orbit against the class
-that the congruence's kept product orbits name now. The differential
-tests check the fast paths against these definitions.
+set and ``extend_injection``; it reads the classes, their supports,
+alignments and groups off the congruence's kept product orbits now.
+The differential tests check the fast paths against these definitions.
 """
 
 import itertools
@@ -843,6 +843,11 @@ def extend_injection(mapping, moved_from, avoid):
     return Perm(m)
 
 
+def related(cong, x, y):
+    """Does the congruence relate x and y? Its pair set holds (x, y)."""
+    return member(cong.pairs, cong.monoid.product.pair(x, y))
+
+
 def quotient(m, cong, budget=None):
     """M / ~ for an equivariant congruence, with the projection.
 
@@ -854,14 +859,13 @@ def quotient(m, cong, budget=None):
     budget = ensure_budget(budget)
     if cong.pairs.support:
         raise InvalidInput("quotient requires an equivariant congruence")
-    related = cong.related
     carrier = m.carrier
 
     def class_support(x):
         atoms = sorted(x.tuple)
         b = next(fresh_stream(atoms))
         return tuple(
-            a for a in atoms if not related(x, act(Perm.swap(a, b), x))
+            a for a in atoms if not related(cong, x, act(Perm.swap(a, b), x))
         )
 
     def alignments(src, src_sup, dst, dst_sup):
@@ -877,7 +881,7 @@ def quotient(m, cong, budget=None):
                 moved_from=src.tuple,
                 avoid=avoid,
             )
-            if related(act(pi, src), dst):
+            if related(cong, act(pi, src), dst):
                 yield sigma
 
     # entries: one per quotient orbit, (m_orbit, rep, support tuple)
@@ -932,4 +936,4 @@ def quotient(m, cong, budget=None):
 
     q_monoid = monoid_from_concrete(q_set, proj_map(m.unit), mult_value, budget=budget)
     projection = MonoidMorphism(m, q_monoid, proj_map)
-    return QuotientResult(q_monoid, projection, proj_map)
+    return QuotientResult(q_monoid, projection)

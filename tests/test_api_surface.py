@@ -1,9 +1,12 @@
 """Every function and method of the library has a caller in it.
 
 A function or method defined in ``src/nommon`` must be referred to,
-by name, somewhere in ``src/nommon`` or ``perfbench/``: as a name, an
-attribute, or a dotted string such as the ones ``perfbench/layers.py``
-traces. Code that only tests call belongs in ``tests/reference.py``.
+by name, somewhere in ``src/nommon`` or ``perfbench/``. A function
+counts as referred to as a name, an attribute, or a part of a string
+such as the dotted ones ``perfbench/layers.py`` traces. A method
+counts only as an attribute or a part of a dotted string, so that a
+same-named local or function does not hide an uncalled method. Code
+that only tests call belongs in ``tests/reference.py``.
 The public entry points that nothing inside calls are listed in
 ``KEEP``, each with the reason it stays. Dunder methods are exempt,
 since Python calls them.
@@ -37,36 +40,38 @@ def python_files(directory):
 
 
 def definitions(tree):
-    """(qualified name, name) of every function and method in a module,
-    nested ones included."""
+    """(qualified name, name, is a method) of every function and method
+    in a module, nested ones included."""
     out = []
 
-    def visit(node, prefix):
+    def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((prefix + child.name, child.name))
-                visit(child, prefix + child.name + ".")
+                out.append((prefix + child.name, child.name, in_class))
+                visit(child, prefix + child.name + ".", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+                visit(child, prefix + child.name + ".", True)
             else:
-                visit(child, prefix)
+                visit(child, prefix, in_class)
 
-    visit(tree, "")
+    visit(tree, "", False)
     return out
 
 
 def references(tree):
-    """Every name the module refers to."""
-    names = set()
+    """The names the module refers to in any way, and those it refers
+    to as attributes or parts of dotted strings."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-                names.update(node.value.split("."))
-    return names
+                parts = node.value.split(".")
+                (attributes if len(parts) > 1 else names).update(parts)
+    return names | attributes, attributes
 
 
 def parse(path):
@@ -75,15 +80,18 @@ def parse(path):
 
 
 def unreferenced():
-    referred = set()
+    referred, as_attributes = set(), set()
     for directory in CALLERS:
         for path in python_files(directory):
-            referred |= references(parse(path))
+            names, attributes = references(parse(path))
+            referred |= names
+            as_attributes |= attributes
     return {
         qualname
         for path in python_files(LIBRARY)
-        for qualname, name in definitions(parse(path))
-        if not (name.startswith("__") and name.endswith("__")) and name not in referred
+        for qualname, name, is_method in definitions(parse(path))
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in (as_attributes if is_method else referred)
     }
 
 

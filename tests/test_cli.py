@@ -27,6 +27,14 @@ def test_aperiodic_refuted_with_witness(capsys):
     assert out.splitlines() == ["cyclic2: NOT aperiodic, witness orbit 1()"]
 
 
+@pytest.mark.parametrize("name", ["cyclic3", "l0_recognizer"])
+def test_aperiodic_budget_covers_the_power_cycles(capsys, name):
+    # the unit's power cycle takes the one tick, and the next cycle runs out
+    code, out = run(capsys, "aperiodic", name, "--budget", "1")
+    assert code == 3
+    assert "budget exhausted" in out
+
+
 def test_member_yes(capsys):
     # [TRIVIAL] abba has the adjacent repeat bb
     code, out = run(capsys, "member", "l0", "a b b a")

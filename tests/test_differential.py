@@ -165,7 +165,7 @@ def assert_congruence_matches(m, p, classes=None):
     class_of = {x: i for i, c in enumerate(classes) for x in c}
     for x in class_of:
         for y in class_of:
-            assert cong.related(x, y) == (class_of[x] == class_of[y]), (x, y)
+            assert reference.related(cong, x, y) == (class_of[x] == class_of[y]), (x, y)
     return cong
 
 
@@ -225,7 +225,7 @@ def test_syntactic_classes_need_two_sided_contexts():
     reps = orbit_reps(m.carrier)
     p = FsSubset.from_elements(m.carrier, (), [reps[1]])
     cong = assert_congruence_matches(m, p)
-    assert not cong.related(reps[4], reps[5])
+    assert not reference.related(cong, reps[4], reps[5])
 
 
 # carriers up to dim 3 with the Z/2, C3 and S3 position groups, together
@@ -646,9 +646,9 @@ def test_syntactic_congruence_on_unordered_pairs():
     cong = assert_congruence_matches(m, p)
     assert cong.pairs.support == frozenset({0, 1})
     letter = lambda a: m.carrier.element(1, (a,))  # noqa: E731
-    assert cong.related(letter(2), letter(3))
-    assert not cong.related(letter(0), letter(1))
-    assert not cong.related(letter(0), letter(2))
+    assert reference.related(cong, letter(2), letter(3))
+    assert not reference.related(cong, letter(0), letter(1))
+    assert not reference.related(cong, letter(0), letter(2))
 
 
 # --- quotients read off the kept product orbits ---------------------------
@@ -695,6 +695,19 @@ def test_quotient_matches_the_search_over_earlier_classes(name):
         assert q.projection.map == old.projection.map
         # only the least related orbit is aligned against
         assert 0 < fast.used <= slow.used
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_MONOIDS))
+def test_quotient_charges_its_orbits_and_its_square_only(name):
+    # one tick per carrier orbit, then the table over the quotient's own
+    # square: nothing is searched
+    m = QUOTIENT_MONOIDS[name]
+    for p in orbit_unions(m):
+        cong = syntactic_congruence(m, p)
+        budget, square = Budget(), Budget()
+        q = quotient(m, cong, budget=budget)
+        product_set(q.monoid.carrier, q.monoid.carrier, budget=square)
+        assert budget.used == len(m.carrier.orbits) + square.used
 
 
 def test_quotient_rejects_a_supported_congruence_like_the_reference():

@@ -8,7 +8,7 @@ import pytest
 
 import reference
 from nommon.catalog import builder, catalog_names, letters_map
-from nommon.errors import Budget, InvalidInput
+from nommon.errors import Budget, BudgetExhausted, InvalidInput
 from nommon.fssets import FsSubset
 from nommon.language import catalog_language
 from nommon.monoid import (
@@ -43,6 +43,7 @@ from nommon.sets import (
     elements_with_support,
     orbit_reps,
     product_set,
+    strong_set,
 )
 
 
@@ -86,6 +87,18 @@ def test_mult_equivariant(name):
         assert act(pi, m.multiply(x, y)) == m.multiply(act(pi, x), act(pi, y))
 
 
+def test_multiply_rejects_an_element_of_another_carrier():
+    m = builder("zero_adjoined")  # carrier 1 + A + 0
+    x = Element(strong_set([0, 1, 2]), 1, (0,))
+    for args in ((x, x), (m.unit, x), (x, m.unit)):
+        with pytest.raises(InvalidInput):
+            m.multiply(*args)
+    # an equal carrier held by another object is the same carrier
+    a = Element(strong_set([0, 1, 0]), 1, (0,))
+    assert a.set is not m.carrier
+    assert m.multiply(a, a) == Element(m.carrier, 2, ())
+
+
 def test_corrupted_table_fails_with_witness():
     m = builder("zero_adjoined")
     # redirect the a.b product orbit from 0 to the left letter
@@ -124,6 +137,18 @@ def test_power_large_exponent_cycle_reduction():
     z3 = builder("cyclic3")
     g = Element(z3.carrier, 1, ())
     assert power(z3, g, 10**30) == power(z3, g, 10**30 % 3)
+
+
+def test_power_cycles_tick_before_each_multiply():
+    # g, g^2, g^3 = 1, and then g^4 = g repeats: three multiplies
+    z3 = builder("cyclic3")
+    g = Element(z3.carrier, 1, ())
+    for find in (lambda b: power(z3, g, 10**30, b), lambda b: omega_power(z3, g, b)):
+        budget = Budget()
+        find(budget)
+        assert budget.used == 3
+    with pytest.raises(BudgetExhausted):
+        omega_power(z3, g, Budget(limit=2))
 
 
 def test_omega_power_idempotent_and_stable():
@@ -325,8 +350,8 @@ def test_collapse_atoms_in_p1():
     m = builder("first_proj")
     a = Element(m.carrier, 1, [0])
     cong = congruence(m, lambda x, y: x.orbit == y.orbit)
-    assert cong.related(a, Element(m.carrier, 1, [7]))
-    assert not cong.related(a, m.unit)
+    assert reference.related(cong, a, Element(m.carrier, 1, [7]))
+    assert not reference.related(cong, a, m.unit)
     q = quotient(m, cong)
     assert [d.dim for d in q.monoid.carrier.orbits] == [0, 0]
     assert validate_monoid(q.monoid).ok
@@ -351,7 +376,7 @@ def test_quotient_projection_recovers_congruence():
     rng = random.Random(8)
     for _ in range(60):
         x, y = random_element(rng, m), random_element(rng, m)
-        assert (q.class_of(x) == q.class_of(y)) == cong.related(x, y)
+        assert (q.projection(x) == q.projection(y)) == reference.related(cong, x, y)
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,10 @@ from reference import extend_injection
 
 
 def test_identity_and_swap():
-    assert Perm.identity()(3) == 3
+    assert Perm({})(3) == 3
     s = Perm.swap(1, 2)
     assert s(1) == 2 and s(2) == 1 and s(0) == 0
-    assert Perm.swap(4, 4) == Perm.identity()
+    assert Perm.swap(4, 4) == Perm({})
 
 
 def test_compose_order():
