@@ -68,9 +68,11 @@ def _pairing_image(h1, h2, budget):
     ``ProductSet`` of those orbits in key order, numbered as in
     ``product_set`` (the ordering lemma on ``ProductSet``).
 
-    The closure runs on pair patterns, the ``ProductSet`` keys. Each
-    ordered pair of reached keys is multiplied out once: u is the first
-    key's reference pair, and v one pair of the second key per
+    The closure runs on pair patterns, the ``ProductSet`` keys, from the
+    unit's and the letters' keys. Each pair of a nonempty word w'a is
+    (h1(w'), h2(w')) times (h1(a), h2(a)), so each reached key is
+    multiplied out once by each letter key: u is the reached key's
+    reference pair, and v one pair of the letter key per
     Perm_{supp u}-orbit (``orbit_tuples``), as that orbit decides the
     orbit of u v; one tick before each such componentwise product.
     """
@@ -85,6 +87,7 @@ def _pairing_image(h1, h2, budget):
                 raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in a pairing image")
             dims[key] = len(set(key[1]) | set(key[3]))
             keys.append(key)
+        return key
 
     def pair_at(key, t):
         # the pair of the key's orbit whose label l is the atom t[l]
@@ -100,13 +103,10 @@ def _pairing_image(h1, h2, budget):
             reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
 
     reach(m1.unit, m2.unit)
-    for x in orbit_reps(h1.sigma):
-        reach(h1(x), h2(x))
-    for n, k in enumerate(keys):  # keys grows while it is walked
-        for j in keys[:n + 1]:
+    letters = list(dict.fromkeys(reach(h1(x), h2(x)) for x in orbit_reps(h1.sigma)))
+    for k in keys:  # keys grows while it is walked
+        for j in letters:
             multiply_out(k, j)
-            if j != k:
-                multiply_out(j, k)
     return ProductSet(m1.carrier, m2.carrier, sorted(keys))
 
 

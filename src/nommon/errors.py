@@ -29,8 +29,11 @@ class Budget:
         self.used = 0
 
     def tick(self, n=1):
+        """Charge n units at once, stopping where n single ticks would:
+        at the first unit past the limit."""
         self.used += n
-        if self.used > self.limit:
+        if self.used > self.limit and n:
+            self.used = max(self.used - n, self.limit) + 1
             raise BudgetExhausted(f"work budget of {self.limit} exhausted")
 
 

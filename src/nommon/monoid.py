@@ -52,8 +52,8 @@ class NominalMonoid:
 
     def multiply(self, x, y):
         c = self.carrier
-        # identity settles almost every call; an equal carrier still passes
-        if (x.set is not c and x.set != c) or (y.set is not c and y.set != c):
+        # carriers are interned, so an equal carrier is this very object
+        if x.set is not c or y.set is not c:
             raise InvalidInput("multiply takes elements of the monoid's carrier")
         # plain tuples hash and compare in C; an element of the carrier is
         # its orbit and canonical tuple
@@ -137,8 +137,7 @@ def validate_monoid(m, budget=None):
             memo[support, orbits] = (reps, budget.used - used)
             return reps
         reps, ticks = hit
-        for _ in range(ticks):
-            budget.tick()
+        budget.tick(ticks)
         return reps
 
     failures = []
@@ -202,15 +201,19 @@ def power(m, x, e, budget=None):
     return powers[idx]
 
 
-def omega_power(m, x, budget=None):
-    """The unique idempotent power of x."""
-    powers, start, period = _power_cycle(m, x, ensure_budget(budget))
+def _cycle_idempotent(m, x, powers, start, period):
+    """The unique idempotent on the cycle of x's ``_power_cycle``."""
     idempotents = [
         p for p in powers[start : start + period] if m.multiply(p, p) == p
     ]
     if len(idempotents) != 1:
         raise InvalidInput(f"power cycle of {x} has {len(idempotents)} idempotents")
     return idempotents[0]
+
+
+def omega_power(m, x, budget=None):
+    """The unique idempotent power of x."""
+    return _cycle_idempotent(m, x, *_power_cycle(m, x, ensure_budget(budget)))
 
 
 def factorial_power_index(n, start, period):
@@ -242,13 +245,15 @@ def check_omega_formula(m, budget=None):
     """Does x^((n*k!)!) equal the idempotent power for every orbit rep?
 
     n is the orbit count and k the bound; the exponent is reduced
-    along each power cycle by ``factorial_power_index``.
+    along each power cycle by ``factorial_power_index``, and the
+    idempotent is read off the same cycle.
     """
     budget = ensure_budget(budget)
     n = len(m.carrier.orbits) * factorial(m.carrier.bound)
     for x in orbit_reps(m.carrier):
         powers, start, period = _power_cycle(m, x, budget)
-        if powers[factorial_power_index(n, start, period)] != omega_power(m, x, budget):
+        omega = _cycle_idempotent(m, x, powers, start, period)
+        if powers[factorial_power_index(n, start, period)] != omega:
             return False
     return True
 

@@ -9,6 +9,7 @@ are pure.
 
 from functools import lru_cache
 from itertools import permutations
+from weakref import WeakValueDictionary
 
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
 from nommon.kernel import apply_positions, min_coset
@@ -16,6 +17,10 @@ from nommon.perm import fresh_stream
 
 GROUP_CAP = 720
 ORBIT_CAP = 4000
+
+# weak tables: an entry lives only while something else holds its value
+_CARRIERS = WeakValueDictionary()  # orbit tuple -> its one live carrier
+_PRODUCTS = WeakValueDictionary()  # (X, Y) -> the live product_set(X, Y)
 
 
 def generate_group(dim, generators):
@@ -69,13 +74,29 @@ class OrbitDescriptor:
 
 
 class OrbitFiniteSet:
-    """A finite list of orbits; the bound is the maximal dimension."""
+    """A finite list of orbits; the bound is the maximal dimension.
 
-    __slots__ = ("orbits", "_hash")
+    Carriers are interned: while one is alive, building an equal one
+    returns it, so equal carriers are one object (hash-consing, after
+    Filliâtre and Conchon, "Type-safe modular hash-consing", 2006).
+    The table holds them weakly, so it keeps none alive.
+    """
 
-    def __init__(self, orbits):
-        self.orbits = tuple(orbits)
-        self._hash = hash(self.orbits)
+    __slots__ = ("orbits", "_hash", "__weakref__")
+
+    def __new__(cls, orbits):
+        orbits = tuple(orbits)
+        self = _CARRIERS.get(orbits)
+        if self is None:
+            self = object.__new__(cls)
+            self.orbits = orbits
+            self._hash = hash(orbits)
+            _CARRIERS[orbits] = self
+        return self
+
+    def __reduce__(self):
+        # copies and unpickled values re-intern
+        return OrbitFiniteSet, (self.orbits,)
 
     @property
     def bound(self):
@@ -85,7 +106,9 @@ class OrbitFiniteSet:
         return Element(self, orbit_index, atoms)
 
     def __eq__(self, other):
-        return isinstance(other, OrbitFiniteSet) and self.orbits == other.orbits
+        return self is other or (
+            isinstance(other, OrbitFiniteSet) and self.orbits == other.orbits
+        )
 
     def __hash__(self):
         return self._hash
@@ -114,7 +137,7 @@ class Element:
         self.orbit = orbit_index
         moves = desc.moves
         self.tuple = min_coset(atoms, moves) if moves else atoms
-        self._hash = hash((owner, orbit_index, self.tuple))
+        self._hash = hash((owner._hash, orbit_index, self.tuple))
 
     def descriptor(self):
         return self.set.orbits[self.orbit]
@@ -124,7 +147,7 @@ class Element:
             isinstance(other, Element)
             and self.orbit == other.orbit
             and self.tuple == other.tuple
-            and (self.set is other.set or self.set == other.set)
+            and self.set is other.set  # equal carriers are one object
         )
 
     def __hash__(self):
@@ -372,7 +395,7 @@ def identity_map(owner):
 
 
 def apply_map(f, x):
-    if x.set != f.source:
+    if x.set is not f.source:
         raise InvalidInput("element does not belong to the map's source set")
     a = f.assignment[x.orbit]
     return Element(f.target, a.orbit, (x.tuple[p] for p in a.posmap))
@@ -590,8 +613,17 @@ def product_set(x_set, y_set, budget=None):
     orbits of pairs (x, y) are the Perm_{0..m-1}-orbits of y, so y runs
     over ``orbit_tuples`` with the labels m..m+n-1 as fresh atoms (one
     tick each), and a key is kept at its first tuple.
+
+    While a product of the same carriers is alive it is returned again,
+    and the ticks of its enumeration are charged once more, so the
+    budget stops where a fresh enumeration would.
     """
     budget = ensure_budget(budget)
+    product = _PRODUCTS.get((x_set, y_set))
+    if product is not None:
+        budget.tick(product.ticks)
+        return product
+    used = budget.used
     keys = {}
     for i, xd in enumerate(x_set.orbits):
         m = xd.dim
@@ -605,4 +637,7 @@ def product_set(x_set, y_set, budget=None):
                     if len(keys) >= ORBIT_CAP:
                         raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in product")
                     keys[key] = None
-    return ProductSet(x_set, y_set, keys)
+    product = ProductSet(x_set, y_set, keys)
+    product.ticks = budget.used - used  # what a hit charges
+    _PRODUCTS[x_set, y_set] = product
+    return product

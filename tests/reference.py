@@ -15,7 +15,9 @@ computed the syntactic congruence, the sweeps over S-orbit
 representatives that re-expressed, complemented and hulled subsets, the
 tagged (0, atom) / (1, k) S-orbit keys, the pairing image that
 built all of X x Y and re-multiplied every pair of reachable orbits in
-each round, and the concrete submonoid path that enumerated the
+each round, the pairing closure that multiplied out every ordered pair
+of reached pair patterns where the letters' patterns suffice, and the
+concrete submonoid path that enumerated the
 submonoid's square and multiplied each of its orbit pairs in the
 ambient monoid again. The fresh-transposition test checks that an
 element's least support is its canonical tuple's atoms. The l2
@@ -63,6 +65,7 @@ from nommon.sets import (
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    ProductSet,
     Report,
     act,
     atoms_set,
@@ -641,6 +644,51 @@ def join_s_bounded(h1, h2, s, budget=None):
     right = MonoidMorphism(mon, h2.monoid, compose_maps(pairs.proj_right, embed_map))
     # the carrier is not a ProductSet here, so no ``pairs``
     return JoinResult(genmap, left, right, is_s_bounded(genmap, s, budget=budget), None)
+
+
+def pairing_image_all_pairs(h1, h2, budget):
+    """The orbits of X x Y that the pairs (h1(w), h2(w)) meet, as a
+    ``ProductSet`` of those orbits in key order.
+
+    Closed on pair patterns from the unit's and the letters' keys by
+    multiplying out every ordered pair of reached keys once: u is the
+    first key's reference pair, and v one pair of the second key per
+    Perm_{supp u}-orbit (``orbit_tuples``); one tick before each
+    componentwise product.
+    """
+    m1, m2 = h1.monoid, h2.monoid
+    dims = {}
+    keys = []
+
+    def reach(a, b):
+        key = fast_pair_pattern(a, b)[0]
+        if key not in dims:
+            if len(dims) >= ORBIT_CAP:
+                raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in a pairing image")
+            dims[key] = len(set(key[1]) | set(key[3]))
+            keys.append(key)
+
+    def pair_at(key, t):
+        return (Element(m1.carrier, key[0], [t[l] for l in key[1]]),
+                Element(m2.carrier, key[2], [t[l] for l in key[3]]))
+
+    def multiply_out(i, j):
+        di, dj = dims[i], dims[j]
+        ux, uy = pair_at(i, range(di))
+        for t in orbit_tuples(range(di), range(di, di + dj), dj):
+            budget.tick()
+            vx, vy = pair_at(j, t)
+            reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
+
+    reach(m1.unit, m2.unit)
+    for x in orbit_reps(h1.sigma):
+        reach(h1(x), h2(x))
+    for n, k in enumerate(keys):  # keys grows while it is walked
+        for j in keys[:n + 1]:
+            multiply_out(k, j)
+            if j != k:
+                multiply_out(j, k)
+    return ProductSet(m1.carrier, m2.carrier, sorted(keys))
 
 
 # --- full product monoids with letters paired by hand ---------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nommon import bounds
+from nommon import bounds, sets
 from nommon.bounds import (
     SupportBound,
     _pairing_image,
@@ -18,13 +18,15 @@ from nommon.bounds import (
     recheck_msr_certificate,
 )
 from nommon.catalog import builder, catalog_quotient, letters_map
-from nommon.errors import Budget, CapExceeded, InvalidInput
+from nommon.errors import Budget, BudgetExhausted, CapExceeded, InvalidInput
+from nommon.language import catalog_language
 from nommon.monoid import (
     GeneratorMap,
     identity_morphism,
     product_monoid,
     validate_morphism,
 )
+from nommon.prolimit import build_stage
 from nommon.sets import Element, atoms_set, map_from_concrete, product_set
 
 
@@ -364,15 +366,63 @@ def test_join_ticks_once_per_componentwise_product(monkeypatch, left, right, bou
     cut = events.index("table")
     closure, rest = events[:cut], events[cut + 1:]
     assert_one_tick_before_each_product(closure)
-    # the join's table re-reads the closure's products; then the
-    # re-verification ticks on its own monoids
-    assert {e for e in rest if e != "tick"} == {"hit"}
-    # the table's enumeration of the square of the reached orbits and
-    # the re-verification are charged to the caller too
+    # the join's table computes at most one fresh product per orbit of
+    # the square of the reached orbits; the re-verification ticks on its
+    # own monoids
     square, recheck = Budget(), Budget()
-    product_set(jn.monoid.carrier, jn.monoid.carrier, budget=square)
+    table = product_set(jn.monoid.carrier, jn.monoid.carrier, budget=square)
+    assert rest.count("product") <= len(table.set.orbits)
+    # the table's enumeration of that square and the re-verification
+    # are charged to the caller too
     is_s_bounded(jn.genmap, s, budget=recheck)
     assert budget.used == products(closure) + square.used + recheck.used
+
+
+def first_last_join(budget):
+    return join_s_bounded(
+        letters_map("first_proj"), letters_map("last_proj"), endpoints_bound(),
+        budget=budget,
+    )
+
+
+def first_last_l0_stage(budget):
+    quotients = [catalog_language(n).genmap for n in ("first-a", "last-a", "l0")]
+    return build_stage(atoms_set(), endpoints_bound(), quotients, budget=budget)
+
+
+def stop(run, limit):
+    """Where a run on a budget of the limit stops: (used, exception)."""
+    budget = Budget(limit)
+    try:
+        run(budget)
+    except BudgetExhausted as exc:
+        return budget.used, str(exc)
+    return budget.used, None
+
+
+class NoMemo(dict):
+    """A product memo that keeps nothing: every product is built."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("run", [first_last_join, first_last_l0_stage])
+def test_budget_stops_alike_with_an_equal_product_held(monkeypatch, run):
+    # a held product is returned again by product_set and its ticks are
+    # charged again, so each run stops where one that builds every
+    # product does: one past the limit, as single ticks would
+    full = Budget()
+    kept = run(full)
+    carrier = kept.monoid.carrier
+    assert product_set(carrier, carrier) is kept.monoid.product
+    held = [stop(run, limit) for limit in range(1, full.used + 1)]
+    monkeypatch.setattr(sets, "_PRODUCTS", NoMemo())
+    built = [stop(run, limit) for limit in range(1, full.used + 1)]
+    assert held == built
+    exhausted = [(limit + 1, f"work budget of {limit} exhausted")
+                 for limit in range(1, full.used)]
+    assert built == exhausted + [(full.used, None)]
 
 
 def test_pairing_image_cap(monkeypatch):

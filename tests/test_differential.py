@@ -783,6 +783,24 @@ def test_join_matches_the_full_product_on_catalog_letter_maps(left, bound):
         check_join(letters_map(left), letters_map(right), s)
 
 
+def check_letter_closure(h1, h2):
+    """The closure over the letters' pair patterns reaches the orbits
+    the all-pairs closure does, with no more multiply-outs."""
+    fast, slow = Budget(), Budget()
+    pairs = bounds._pairing_image(h1, h2, fast)
+    assert pairs.patterns == reference.pairing_image_all_pairs(h1, h2, slow).patterns
+    assert fast.used <= slow.used
+
+
+@pytest.mark.parametrize("left", LETTER_MAPS)
+def test_letter_closure_matches_the_all_pairs_closure(left):
+    h1 = letters_map(left)
+    for right in LETTER_MAPS:
+        check_letter_closure(h1, letters_map(right))
+    for bound in (first_letter_bound, endpoints_bound):
+        check_letter_closure(h1, bound().data)
+
+
 @pytest.mark.parametrize("name", LETTER_MAPS)
 def test_constant_bounds_read_the_closed_orbits(name):
     # same witness and same ticks as the walk over the generated submonoid
@@ -1031,6 +1049,12 @@ def test_join_evaluates_to_the_pair_of_evaluations(maps):
         value = jn.genmap.eval_word(w)
         assert jn.pairs.unpair(value) == (h1.eval_word(w), h2.eval_word(w))
         assert (jn.left(value), jn.right(value)) == (h1.eval_word(w), h2.eval_word(w))
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(map_pairs())
+def test_letter_closure_matches_the_all_pairs_closure_on_position_groups(maps):
+    check_letter_closure(*maps)
 
 
 @settings(max_examples=40, **DETERMINISTIC)

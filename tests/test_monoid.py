@@ -93,9 +93,9 @@ def test_multiply_rejects_an_element_of_another_carrier():
     for args in ((x, x), (m.unit, x), (x, m.unit)):
         with pytest.raises(InvalidInput):
             m.multiply(*args)
-    # an equal carrier held by another object is the same carrier
+    # carriers are interned: an equal carrier built again is the carrier
     a = Element(strong_set([0, 1, 0]), 1, (0,))
-    assert a.set is not m.carrier
+    assert a.set is m.carrier
     assert m.multiply(a, a) == Element(m.carrier, 2, ())
 
 
@@ -172,6 +172,17 @@ def test_omega_power_examples():
 @pytest.mark.parametrize("name", catalog_names())
 def test_omega_formula(name):
     assert check_omega_formula(builder(name))
+
+
+@pytest.mark.parametrize("name,ticks", [("cyclic3", 7), ("l0_recognizer", 6), ("barred", 5)])
+def test_omega_formula_walks_each_power_cycle_once(name, ticks):
+    # one _power_cycle per orbit rep, as the ticks of the cycles alone
+    m = builder(name)
+    budget, cycles = Budget(), Budget()
+    assert check_omega_formula(m, budget)
+    for x in orbit_reps(m.carrier):
+        omega_power(m, x, cycles)
+    assert budget.used == cycles.used == ticks
 
 
 def cycle_index(e, start, period):

@@ -1,9 +1,13 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
 
-from nommon.errors import CapExceeded, InvalidInput
+from nommon import sets
+from nommon.errors import Budget, BudgetExhausted, CapExceeded, InvalidInput
 from nommon.perm import Perm
 from nommon.sets import (
     Element,
@@ -274,3 +278,66 @@ def test_product_projections_well_defined():
         prod = product_set(left, right)
         assert check_map_well_defined(prod.proj_left).ok
         assert check_map_well_defined(prod.proj_right).ok
+
+
+# --- interned carriers and the product memo -------------------------------
+
+
+def single_ticks(limit, used, n):
+    """Where n single ticks from ``used`` stop: (used, exhausted)."""
+    budget = Budget(limit)
+    budget.used = used
+    try:
+        for _ in range(n):
+            budget.tick()
+    except BudgetExhausted:
+        return budget.used, True
+    return budget.used, False
+
+
+def test_tick_n_stops_where_n_single_ticks_would():
+    budget = Budget(5)
+    budget.tick(3)
+    with pytest.raises(BudgetExhausted):
+        budget.tick(4)
+    assert budget.used == 6
+    for limit, used, n in itertools.product(range(4), range(7), range(5)):
+        budget = Budget(limit)
+        budget.used = used
+        try:
+            budget.tick(n)
+            exhausted = False
+        except BudgetExhausted:
+            exhausted = True
+        assert (budget.used, exhausted) == single_ticks(limit, used, n)
+
+
+def test_equal_carriers_are_one_object():
+    x = OrbitFiniteSet([OrbitDescriptor(2, [(1, 0)]), OrbitDescriptor(1)])
+    assert OrbitFiniteSet([OrbitDescriptor(2, [(1, 0)]), OrbitDescriptor(1)]) is x
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert strong_set([1, 2]) is not strong_set([2, 1])
+
+
+def test_a_held_product_is_returned_with_its_ticks():
+    x = strong_set([0, 1, 2])
+    cold, warm = Budget(), Budget()
+    prod = product_set(x, x, budget=cold)
+    assert product_set(strong_set([0, 1, 2]), x, budget=warm) is prod
+    assert warm.used == cold.used > 0
+
+
+def test_the_weak_tables_keep_nothing_alive():
+    orbits = (OrbitDescriptor(3, [(1, 2, 0)]), OrbitDescriptor(2))
+    x = OrbitFiniteSet(orbits)
+    prod = product_set(x, x)
+    square = prod.set.orbits
+    assert sets._CARRIERS[orbits] is x
+    assert sets._PRODUCTS[x, x] is prod
+    del x, prod
+    gc.collect()
+    assert orbits not in sets._CARRIERS
+    assert square not in sets._CARRIERS
+    assert all(left.orbits != orbits for left, _right in sets._PRODUCTS.keys())
