@@ -74,7 +74,9 @@ def _pairing_image(h1, h2, budget):
     multiplied out once by each letter key: u is the reached key's
     reference pair, and v one pair of the letter key per
     Perm_{supp u}-orbit (``orbit_tuples``), as that orbit decides the
-    orbit of u v; one tick before each such componentwise product.
+    orbit of u v; one tick before each such componentwise product. The
+    walk starts at the second key: the first is the unit's, an orbit of
+    one pair, so its products are the letter pairs, reached already.
     """
     m1, m2 = h1.monoid, h2.monoid
     dims = {}
@@ -104,7 +106,7 @@ def _pairing_image(h1, h2, budget):
 
     reach(m1.unit, m2.unit)
     letters = list(dict.fromkeys(reach(h1(x), h2(x)) for x in orbit_reps(h1.sigma)))
-    for k in keys:  # keys grows while it is walked
+    for k in itertools.islice(keys, 1, None):  # keys grows while it is walked
         for j in letters:
             multiply_out(k, j)
     return ProductSet(m1.carrier, m2.carrier, sorted(keys))

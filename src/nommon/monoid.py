@@ -83,17 +83,27 @@ class NominalMonoid:
 def monoid_from_concrete(carrier, unit, mult_value, budget=None):
     """Monoid whose multiplication is read off a concrete function.
 
-    ``mult_value`` is evaluated once per product-orbit reference pair;
-    its results must stay inside the pair's atoms (equivariance). The
-    enumeration of carrier x carrier is charged to ``budget``.
+    ``mult_value`` is evaluated once per product orbit, on its reference
+    pair: a key (i, x_labels, j, y_labels) of ``product_set`` names the
+    pair (x_labels in orbit i, y_labels in orbit j), whose atoms are the
+    positions 0..d-1, so the result's canonical tuple is its posmap. The
+    result must lie in the carrier and stay inside the pair's atoms
+    (equivariance). The enumeration of carrier x carrier is charged to
+    ``budget``.
     """
     product = product_set(carrier, carrier, budget=budget)
-
-    def fn(e):
-        x, y = product.unpair(e)
-        return mult_value(x, y)
-
-    mult = map_from_concrete(product.set, carrier, fn)
+    assignment = []
+    for (i, x_labels, j, y_labels), desc in zip(product.patterns, product.set.orbits):
+        z = mult_value(Element(carrier, i, x_labels), Element(carrier, j, y_labels))
+        if z.set is not carrier:
+            raise InvalidInput("concrete function left the target set")
+        atoms = range(desc.dim)
+        if not all(a in atoms for a in z.tuple):
+            raise InvalidInput(
+                f"image atoms {z.tuple} escape the argument's support {tuple(atoms)}"
+            )
+        assignment.append(Assignment(z.orbit, z.tuple))
+    mult = EquivariantMap(product.set, carrier, assignment)
     return NominalMonoid(carrier, unit, mult, product)
 
 
@@ -355,15 +365,31 @@ def componentwise_monoid(m, n, pairs, budget=None):
     n, multiplied componentwise, with its projections. ``pairs`` may
     hold only some orbits of X x Y: a multiplication-closed union with
     the unit pair's orbit. The square of ``pairs`` is enumerated on
-    ``budget``."""
+    ``budget``.
+
+    Each entry is read off the keys. A square key (p, _, q, labels) has
+    as reference pair orbit p's reference pair (x1, x2), its pattern's
+    label tuples, and the pair (y1, y2) of orbit q whose pattern labels
+    are renamed through ``labels``; the entry is the orbit and tuple of
+    ``pairs.pair(x1 y1, x2 y2)``.
+    """
     unit = pairs.pair(m.unit, n.unit)
-
-    def mult_value(x, y):
-        x1, x2 = pairs.unpair(x)
-        y1, y2 = pairs.unpair(y)
-        return pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
-
-    prod = monoid_from_concrete(pairs.set, unit, mult_value, budget=budget)
+    square = product_set(pairs.set, pairs.set, budget=budget)
+    left, right = m.carrier, n.carrier
+    refs = [
+        (Element(left, i, x_labels), Element(right, j, y_labels))
+        for i, x_labels, j, y_labels in pairs.patterns
+    ]
+    assignment = []
+    for p, _, q, labels in square.patterns:
+        x1, x2 = refs[p]
+        i, x_labels, j, y_labels = pairs.patterns[q]
+        y1 = Element(left, i, [labels[l] for l in x_labels])
+        y2 = Element(right, j, [labels[l] for l in y_labels])
+        z = pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
+        assignment.append(Assignment(z.orbit, z.tuple))
+    mult = EquivariantMap(square.set, pairs.set, assignment)
+    prod = NominalMonoid(pairs.set, unit, mult, square)
     proj1 = MonoidMorphism(prod, m, pairs.proj_left)
     proj2 = MonoidMorphism(prod, n, pairs.proj_right)
     return ProductMonoidResult(prod, pairs, proj1, proj2)

@@ -7,7 +7,7 @@ finite list of such orbits. All values are immutable and operations
 are pure.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from weakref import WeakValueDictionary
 
@@ -535,7 +535,7 @@ class ProductSet:
         self.left = left
         self.right = right
         self.patterns = tuple(keys)
-        self._key_to_orbit = {key: i for i, key in enumerate(self.patterns)}
+        self.key_to_orbit = {key: i for i, key in enumerate(self.patterns)}
         self.factors = tuple((key[0], key[2]) for key in self.patterns)
         descriptors = []
         for x_orbit, x_labels, y_orbit, y_labels in self.patterns:
@@ -544,11 +544,18 @@ class ProductSet:
             descriptors.append(OrbitDescriptor(d, _group=stab))
         self.set = OrbitFiniteSet(descriptors)
         self._pair_cache = {}
-        self.proj_left = EquivariantMap(
-            self.set, left, [Assignment(p[0], p[1]) for p in self.patterns]
+
+    # the projections are built on first use: a square never needs them
+    @cached_property
+    def proj_left(self):
+        return EquivariantMap(
+            self.set, self.left, [Assignment(p[0], p[1]) for p in self.patterns]
         )
-        self.proj_right = EquivariantMap(
-            self.set, right, [Assignment(p[2], p[3]) for p in self.patterns]
+
+    @cached_property
+    def proj_right(self):
+        return EquivariantMap(
+            self.set, self.right, [Assignment(p[2], p[3]) for p in self.patterns]
         )
 
     def _stabilizer(self, x_orbit, x_labels, y_orbit, y_labels, d):
@@ -587,7 +594,7 @@ class ProductSet:
         if cached is not None:
             return cached
         key, ren = pair_pattern(x, y)
-        orbit = self._key_to_orbit.get(key)
+        orbit = self.key_to_orbit.get(key)
         if orbit is None:
             raise InvalidInput("pair pattern not found among product orbits")
         d = self.set.orbits[orbit].dim
@@ -612,7 +619,11 @@ def product_set(x_set, y_set, budget=None):
     With x the reference element of a left orbit (atoms 0..m-1), the
     orbits of pairs (x, y) are the Perm_{0..m-1}-orbits of y, so y runs
     over ``orbit_tuples`` with the labels m..m+n-1 as fresh atoms (one
-    tick each), and a key is kept at its first tuple.
+    tick each), and a key is kept at its first tuple. A tuple t is keyed
+    on raw labels, as ``pair_pattern`` keys the pair (x, t): its y labels
+    are the least ``first_occurrence_labels`` of t over G_y, with x's
+    atoms fixed at their labels under each reading g in G_x (atom g[i]
+    takes label i). No element is built.
 
     While a product of the same carriers is alive it is returned again,
     and the ticks of its enumeration are charged once more, so the
@@ -627,12 +638,15 @@ def product_set(x_set, y_set, budget=None):
     keys = {}
     for i, xd in enumerate(x_set.orbits):
         m = xd.dim
-        x_ref = Element(x_set, i, range(m))
+        x_labels = tuple(range(m))
+        readings = [{a: label for label, a in enumerate(g)} for g in xd.group]
         for j, yd in enumerate(y_set.orbits):
             n = yd.dim
-            for t in orbit_tuples(range(m), range(m, m + n), n):
+            y_group = yd.group
+            for t in orbit_tuples(x_labels, range(m, m + n), n):
                 budget.tick()
-                key, _ren = pair_pattern(x_ref, Element(y_set, j, t))
+                y_labels = min(first_occurrence_labels(t, y_group, r)[0] for r in readings)
+                key = (i, x_labels, j, y_labels)
                 if key not in keys:
                     if len(keys) >= ORBIT_CAP:
                         raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in product")

@@ -20,7 +20,6 @@ serialization of canonical objects round-trips exactly.
 """
 
 import re
-from contextlib import contextmanager
 
 from nommon.errors import InvalidInput, ensure_budget
 from nommon.kernel import min_coset
@@ -43,19 +42,27 @@ class TextFormatError(InvalidInput):
         self.line = line
 
 
-@contextmanager
-def _at(line):
+class _at:
     """Error boundary of one line: a malformed token or value read on it
     is a TextFormatError at that line. An error already positioned at an
     inner line keeps its position."""
-    try:
-        yield
-    except TextFormatError:
-        raise
-    except IndexError:
-        raise TextFormatError("missing token or no such orbit", line) from None
-    except (ValueError, InvalidInput) as exc:
-        raise TextFormatError(str(exc), line) from None
+
+    __slots__ = ("line",)
+
+    def __init__(self, line):
+        self.line = line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None or issubclass(kind, TextFormatError):
+            return False
+        if issubclass(kind, IndexError):
+            raise TextFormatError("missing token or no such orbit", self.line) from None
+        if issubclass(kind, (ValueError, InvalidInput)):
+            raise TextFormatError(str(exc), self.line) from None
+        return False
 
 
 def _block(lines, head, start, rows):
@@ -78,6 +85,7 @@ _LABEL = re.compile(r"^x(\d+)$")
 _CALL = r"(\d+\([^()]*\))"
 _MULT = re.compile(rf"^{_CALL}\s*\.\s*{_CALL}\s*->\s*{_CALL}$")
 _MAP = re.compile(rf"^{_CALL}\s*->\s*{_CALL}$")
+_CALL_PARTS = re.compile(r"^(\d+)\(([^()]*)\)$")
 
 
 def _atom(token):
@@ -96,7 +104,7 @@ def _label(token):
 
 def _parse_call(text, read):
     """'3(x0 x1)' -> (3, (0, 1)), reading each argument with ``read``."""
-    m = re.match(r"^(\d+)\(([^()]*)\)$", text)
+    m = _CALL_PARTS.match(text)
     if not m:
         raise InvalidInput(f"expected orbit(args), got {text!r}")
     return int(m.group(1)), tuple(read(t) for t in m.group(2).split())
@@ -193,25 +201,32 @@ def _carrier_block(head, lines, start, budget):
 def _build_monoid(carrier, unit_line, mult_lines, budget):
     """The monoid of its unit and mult lines, each read with its number.
 
-    A mult line's labels are read as atoms, and ``product.pair`` finds
-    the product orbit of its pair; the value moves to that orbit's
-    reference pair, whose atoms are the positions 0..d-1. The
-    enumeration of carrier x carrier is charged to ``budget``.
+    ``serialize`` writes each mult line on its product orbit's key: the
+    labels are the atoms of the orbit's reference pair, the positions
+    0..d-1, so the value's labels are its posmap. A line on a key is
+    looked up by it. Any other line's labels are read as atoms, and
+    ``product.pair`` finds the product orbit of its pair; the value
+    moves to that orbit's reference pair. The enumeration of carrier x
+    carrier is charged to ``budget``.
     """
     orbit, line = unit_line
     with _at(line):
         unit = Element(carrier, orbit, ())
     product = product_set(carrier, carrier, budget=budget)
+    key_to_orbit = product.key_to_orbit
     assignment = [None] * len(product.patterns)
     for ((i, left), (j, right), (r, value)), line in mult_lines:
         with _at(line):
-            e = product.pair(Element(carrier, i, left), Element(carrier, j, right))
-            if assignment[e.orbit] is not None:
-                key = product.patterns[e.orbit]
+            p = key_to_orbit.get((i, left, j, right))
+            if p is None:
+                e = product.pair(Element(carrier, i, left), Element(carrier, j, right))
+                p = e.orbit
+                position = {a: k for k, a in enumerate(e.tuple)}
+                value = [position[a] for a in value]
+            if assignment[p] is not None:
+                key = product.patterns[p]
                 raise InvalidInput(f"second multiplication entry for pattern {key}")
-            position = {a: p for p, a in enumerate(e.tuple)}
-            z = Element(carrier, r, [position[a] for a in value])
-            assignment[e.orbit] = Assignment(r, z.tuple)
+            assignment[p] = Assignment(r, Element(carrier, r, value).tuple)
     if None in assignment:
         key = product.patterns[assignment.index(None)]
         raise InvalidInput(f"missing multiplication entry for pattern {key}")

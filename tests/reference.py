@@ -32,6 +32,11 @@ quotient by an equivariant congruence tested each orbit against every
 earlier class under every alignment, through ``related`` on the pair
 set and ``extend_injection``; it reads the classes, their supports,
 alignments and groups off the congruence's kept product orbits now.
+Product keys were found by building and pair-patterning an element per
+enumerated tuple (``product_orbits`` is that sweep, over every tuple),
+and monoid tables, componentwise ones among them, were read by building
+each product orbit's reference element, unpairing it and mapping it
+with ``map_from_concrete``; they are read off the product keys now.
 The differential tests check the fast paths against these definitions.
 """
 
@@ -50,6 +55,8 @@ from nommon.monoid import (
     Congruence,
     GeneratorMap,
     MonoidMorphism,
+    NominalMonoid,
+    ProductMonoidResult,
     QuotientResult,
     SubMonoid,
     monoid_from_concrete,
@@ -76,6 +83,7 @@ from nommon.sets import (
     orbit_reps,
     orbit_tuples,
     pair_pattern as fast_pair_pattern,
+    product_set,
     s_orbit_key,
     s_orbit_reps as fast_s_orbit_reps,
     strong_set,
@@ -760,6 +768,39 @@ def language_boolean(op, l1, l2=None):
     return Language(
         GeneratorMap(l1.alphabet, pm.monoid, h0), fs_boolean(op, u1, u2)
     )
+
+
+# --- monoid tables through unpaired reference elements --------------------
+
+
+def monoid_by_unpairing(carrier, unit, mult_value, budget=None):
+    """The monoid whose table ``map_from_concrete`` reads off each
+    product orbit's reference element, unpaired into its two factors
+    and multiplied by ``mult_value``."""
+    product = product_set(carrier, carrier, budget=budget)
+
+    def fn(e):
+        x, y = product.unpair(e)
+        return mult_value(x, y)
+
+    mult = map_from_concrete(product.set, carrier, fn)
+    return NominalMonoid(carrier, unit, mult, product)
+
+
+def componentwise_by_unpairing(m, n, pairs, budget=None):
+    """The componentwise monoid on ``pairs``, its table read by
+    unpairing both factors of each square orbit's reference element."""
+    unit = pairs.pair(m.unit, n.unit)
+
+    def mult_value(x, y):
+        x1, x2 = pairs.unpair(x)
+        y1, y2 = pairs.unpair(y)
+        return pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
+
+    prod = monoid_by_unpairing(pairs.set, unit, mult_value, budget=budget)
+    proj1 = MonoidMorphism(prod, m, pairs.proj_left)
+    proj2 = MonoidMorphism(prod, n, pairs.proj_right)
+    return ProductMonoidResult(prod, pairs, proj1, proj2)
 
 
 # --- monoid tables in the text format, by concrete pairs -------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from nommon import bounds
+from nommon import bounds, sets
 from nommon.bounds import (
     SupportBound,
     endpoints_bound,
@@ -37,6 +37,7 @@ from nommon.monoid import (
     _monoid_tables,
     closed_orbit_indices,
     coimage,
+    componentwise_monoid,
     enumerate_monoid_maps,
     enumerate_small_monoids,
     find_isomorphism,
@@ -1123,6 +1124,106 @@ def test_submonoid_matches_the_concrete_path_on_any_orbit_set(data):
     if data.draw(st.booleans()):
         indices = closed_orbit_indices(m, indices)
     check_submonoid(m, indices)
+
+
+# --- monoid tables read off the product keys ------------------------------
+
+TABLE_MONOIDS = [builder(n) for n in catalog_names()] + POSITION_GROUP_MONOIDS
+
+
+def fresh_products():
+    """A product memo of this test's own: each product is enumerated
+    afresh the first time, whatever an earlier test left alive."""
+    return mock.patch.object(sets, "_PRODUCTS", {})
+
+
+def check_table(m):
+    """monoid_from_concrete reads m's table off the keys of its square
+    as the unpairing path does, on the same ticks, and the keys are
+    those of the element sweep."""
+    fast, slow = Budget(), Budget()
+    with fresh_products():
+        got = monoid_from_concrete(m.carrier, m.unit, m.multiply, budget=fast)
+        want = reference.monoid_by_unpairing(m.carrier, m.unit, m.multiply, budget=slow)
+    assert got.product.patterns == reference.product_orbits(m.carrier, m.carrier)[0]
+    assert got.product.patterns == want.product.patterns
+    assert got.mult.assignment == want.mult.assignment == m.mult.assignment
+    assert fast.used == slow.used
+
+
+@pytest.mark.parametrize("m", TABLE_MONOIDS)
+def test_tables_match_the_unpairing_path(m):
+    check_table(m)
+
+
+@settings(max_examples=100, **DETERMINISTIC)
+@given(redirected_tables(TABLE_MONOIDS))
+def test_tables_match_the_unpairing_path_on_corrupted_tables(m):
+    check_table(m)
+
+
+@settings(max_examples=40, **DETERMINISTIC)
+@given(st.data())
+def test_product_keys_match_the_element_sweep_on_position_groups(data):
+    # carriers of one to three orbits of SYMMETRIC, in any order
+    orbits = st.lists(st.sampled_from(SYMMETRIC.orbits), min_size=1, max_size=3)
+    left, right = (OrbitFiniteSet(data.draw(orbits)) for _ in range(2))
+    with fresh_products():
+        prod = product_set(left, right)
+    groups = tuple(o.group for o in prod.set.orbits)
+    assert (prod.patterns, prod.factors, groups) == reference.product_orbits(left, right)
+
+
+def check_componentwise(m, n, pairs):
+    """componentwise_monoid reads the table, unit and projections that
+    the unpairing path does, on the same ticks."""
+    fast, slow = Budget(), Budget()
+    with fresh_products():
+        try:
+            got = componentwise_monoid(m, n, pairs, budget=fast)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
+            return
+        want = reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
+    assert got.monoid.product.patterns == want.monoid.product.patterns
+    assert got.monoid.mult.assignment == want.monoid.mult.assignment
+    assert got.monoid.unit == want.monoid.unit
+    assert (got.proj1, got.proj2) == (want.proj1, want.proj2)
+    assert fast.used == slow.used
+
+
+# factor pairs of bound at most 4 in all: the S3 null monoid's square
+# alone takes 20 s to pass the orbit cap
+FACTOR_PAIRS = st.tuples(
+    st.sampled_from(TABLE_MONOIDS), st.sampled_from(TABLE_MONOIDS)
+).filter(lambda mn: mn[0].carrier.bound + mn[1].carrier.bound <= 4)
+
+
+@settings(max_examples=60, **DETERMINISTIC)
+@given(FACTOR_PAIRS)
+def test_componentwise_tables_match_the_unpairing_path(factors):
+    m, n = factors
+    check_componentwise(m, n, product_set(m.carrier, n.carrier))
+
+
+@settings(max_examples=60, **DETERMINISTIC)
+@given(map_pairs())
+def test_join_tables_match_the_unpairing_path(maps):
+    h1, h2 = maps
+    pairs = bounds._pairing_image(h1, h2, Budget())
+    check_componentwise(h1.monoid, h2.monoid, pairs)
+    assert join(h1, h2).monoid == reference.componentwise_by_unpairing(
+        h1.monoid, h2.monoid, pairs
+    ).monoid
+
+
+@pytest.mark.parametrize("left", LETTER_MAPS)
+def test_join_tables_match_the_unpairing_path_on_catalog_letter_maps(left):
+    h1 = letters_map(left)
+    for right in LETTER_MAPS:
+        h2 = letters_map(right)
+        check_componentwise(h1.monoid, h2.monoid, bounds._pairing_image(h1, h2, Budget()))
 
 
 # --- monoid tables in the text format -------------------------------------

@@ -27,6 +27,7 @@ from nommon.monoid import (
     generating_orbits,
     is_aperiodic,
     identity_morphism,
+    monoid_from_concrete,
     omega_power,
     power,
     product_monoid,
@@ -97,6 +98,27 @@ def test_multiply_rejects_an_element_of_another_carrier():
     a = Element(strong_set([0, 1, 0]), 1, (0,))
     assert a.set is m.carrier
     assert m.multiply(a, a) == Element(m.carrier, 2, ())
+
+
+def test_monoid_from_concrete_rejects_a_result_in_another_carrier():
+    carrier = strong_set([0, 1])  # 1 + A
+    other = strong_set([0, 1, 0])
+    unit = Element(carrier, 0, ())
+    with pytest.raises(InvalidInput, match="left the target set"):
+        monoid_from_concrete(carrier, unit, lambda x, y: Element(other, 0, ()))
+
+
+def test_monoid_from_concrete_rejects_atoms_outside_the_pair():
+    carrier = strong_set([0, 1])  # 1 + A
+    unit = Element(carrier, 0, ())
+
+    def mult_value(x, y):
+        # one past the pair's atoms 0..d-1: the atom 0 on the pair (unit, unit)
+        d = len(set(x.tuple) | set(y.tuple))
+        return Element(carrier, 1, (d,))
+
+    with pytest.raises(InvalidInput, match=r"image atoms \(0,\) escape .* \(\)"):
+        monoid_from_concrete(carrier, unit, mult_value)
 
 
 def test_corrupted_table_fails_with_witness():

@@ -10,7 +10,7 @@ from nommon.language import Word, catalog_language
 from nommon.monoid import validate_monoid, validate_morphism
 from nommon.prolimit import OmegaTerm
 from nommon.sets import Element, OrbitDescriptor, OrbitFiniteSet, atoms_set
-from nommon.textfmt import TextFormatError, parse, serialize
+from nommon.textfmt import TextFormatError, _at, parse, serialize
 
 
 # --- round trips ----------------------------------------------------------
@@ -189,6 +189,30 @@ def test_mult_lines_may_read_a_pair_under_its_group():
     assert parse(swapped) == parse(NULL_PAIRS)
 
 
+def off_the_keys(document, renamed):
+    """The document with every 'mult' line on another pair of its
+    product orbit: each call of the unordered pairs (orbit 2) read the
+    other way round, and on the lines whose index is in ``renamed`` the
+    label k written x(9 - k)."""
+    lines = document.splitlines(keepends=True)
+    for n, text in enumerate(lines):
+        if text.lstrip().startswith("mult"):
+            text = re.sub(r"2\(x(\d) x(\d)\)", r"2(x\2 x\1)", text)
+            if n in renamed:
+                text = re.sub(r"x(\d)", lambda g: f"x{9 - int(g.group(1))}", text)
+            lines[n] = text
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("renamed", [(), range(100), range(0, 100, 2)])
+def test_mult_lines_off_their_keys_parse_to_what_serialize_writes(renamed):
+    moved = off_the_keys(NULL_PAIRS, renamed)
+    assert "2(x0 x1)" not in moved
+    m = parse(moved)["P"]
+    assert serialize({"P": m}) == NULL_PAIRS
+    assert m == parse(NULL_PAIRS)["P"]
+
+
 def test_hand_written_morphism_validates():
     e = COMPARE
     back = parse(COMPARE_MORPHISM)["e"]
@@ -256,6 +280,21 @@ MALFORMED = {
     "unit-not-a-number": edited(HAND_WRITTEN_N, "unit 0", "unit x"),
     "group-not-numbers": edited(NULL_PAIRS, "group (1 0)", "group (a b)"),
     "map-to-no-orbit": edited(COMPARE_MORPHISM, "map 0() -> 0()", "map 0() -> 9()"),
+    # lines on a product key, read by key, and the same lines off it
+    "second-line-on-a-key": before_end(HAND_WRITTEN_N, "mult 1(x0) . 1(x1) -> 2()"),
+    "value-names-no-orbit-on-a-key": edited(
+        HAND_WRITTEN_N, "mult 2() . 2() -> 2()", "mult 2() . 2() -> 5()"
+    ),
+    "value-of-wrong-arity-on-a-key": edited(
+        HAND_WRITTEN_N, "mult 1(x0) . 1(x1) -> 2()", "mult 1(x0) . 1(x1) -> 1(x0 x1)"
+    ),
+    "value-repeats-a-label-on-a-key": edited(
+        NULL_PAIRS, "mult 2(x0 x1) . 2(x2 x3) -> 1()", "mult 2(x0 x1) . 2(x2 x3) -> 2(x1 x1)"
+    ),
+    "value-of-wrong-arity-off-a-key": edited(
+        HAND_WRITTEN_N, "mult 1(x0) . 1(x1) -> 2()", "mult 1(x3) . 1(x5) -> 1(x3 x5)"
+    ),
+    "second-line-off-a-key": before_end(HAND_WRITTEN_N, "mult 1(x4) . 1(x2) -> 2()"),
 }
 
 
@@ -265,6 +304,33 @@ def test_malformed_line_is_an_error_at_that_line(case):
     with pytest.raises(TextFormatError) as exc:
         parse(doc)
     assert exc.value.line == line
+
+
+def test_an_inner_error_keeps_its_own_line():
+    # the monoid block's line 13 fails inside the boundary of line 2, where
+    # the block's declaration starts
+    doc, line = edited(
+        "word w = a0\n" + HAND_WRITTEN_N, "mult 1(x0) . 2() -> 2()", "mult 1(x0) . 2() -> 2(x0)"
+    )
+    assert line == 13
+    with pytest.raises(TextFormatError) as exc:
+        parse(doc)
+    assert exc.value.line == line
+    with pytest.raises(TextFormatError) as exc:
+        with _at(2):
+            with _at(7):
+                raise InvalidInput("bad value")
+    assert exc.value.line == 7
+    assert str(exc.value) == "line 7: bad value"
+
+
+def test_the_line_boundary_passes_other_errors_through():
+    with pytest.raises(KeyError):
+        with _at(3):
+            raise KeyError("not a format error")
+    with _at(3) as boundary:
+        pass
+    assert boundary.line == 3
 
 
 def test_bad_atom_token():
