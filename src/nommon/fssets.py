@@ -103,7 +103,8 @@ class FsSubset:
 
 
 def member(subset, x):
-    if x.set != subset.carrier:
+    # carriers are interned, so an equal carrier is this very object
+    if x.set is not subset.carrier:
         raise InvalidInput("element does not belong to the subset's carrier")
     return s_orbit_key(x, subset.support) in subset.keys
 

@@ -41,7 +41,8 @@ class Word:
 
     def __init__(self, alphabet, letters):
         letters = tuple(letters)
-        if any(x.set != alphabet for x in letters):
+        # carriers are interned, so an equal alphabet is this very object
+        if any(x.set is not alphabet for x in letters):
             raise InvalidInput("all letters must share the alphabet")
         self.alphabet = alphabet
         self.letters = letters
@@ -88,7 +89,7 @@ class Language:
 
 
 def eval_word(genmap, w):
-    if w.alphabet != genmap.sigma:
+    if w.alphabet is not genmap.sigma:
         raise InvalidInput("word alphabet does not match the generator map")
     return genmap.eval_word(w.letters)
 

@@ -20,6 +20,7 @@ from nommon.sets import (
     OrbitFiniteSet,
     ProductSet,
     Report,
+    apply_map,
     check_map_well_defined,
     coset_breakers,
     elements_with_support,
@@ -51,6 +52,15 @@ class NominalMonoid:
         self._hash = hash((carrier, unit, mult))
 
     def multiply(self, x, y):
+        """x . y, memoized on the pair.
+
+        A miss reads the table straight off the pair's product orbit:
+        the pair's atoms in label order (``ProductSet.locate``), made
+        canonical under the orbit's group as its element's tuple would
+        be, give the result's atoms through the orbit's posmap. No
+        product element is built or kept, and the result is the one
+        ``self.mult(self.product.pair(x, y))`` gives, on any table.
+        """
         c = self.carrier
         # carriers are interned, so an equal carrier is this very object
         if x.set is not c or y.set is not c:
@@ -60,8 +70,11 @@ class NominalMonoid:
         key = (x.orbit, x.tuple, y.orbit, y.tuple)
         z = self._cache.get(key)
         if z is None:
-            z = self.mult(self.product.pair(x, y))
-            self._cache[key] = z
+            orbit, atoms = self.product.locate(x, y)
+            moves = self.product.set.orbits[orbit].moves
+            t = min_coset(atoms, moves) if moves else atoms
+            a = self.mult.assignment[orbit]
+            z = self._cache[key] = Element(c, a.orbit, [t[p] for p in a.posmap])
         return z
 
     def __eq__(self, other):
@@ -413,9 +426,11 @@ class GeneratorMap:
         return self.h0(letter)
 
     def eval_word(self, letters):
+        multiply = self.monoid.multiply
+        h0 = self.h0
         out = self.monoid.unit
         for letter in letters:
-            out = self.monoid.multiply(out, self.h0(letter))
+            out = multiply(out, apply_map(h0, letter))
         return out
 
     def __eq__(self, other):

@@ -230,7 +230,7 @@ def _join_into(stage, q, budget):
 
 def eta(stage, w):
     """The stage image of a word: its joined evaluation."""
-    if w.alphabet != stage.alphabet:
+    if w.alphabet is not stage.alphabet:
         raise InvalidInput("word alphabet does not match the stage")
     return stage.join.eval_word(w.letters)
 
@@ -339,7 +339,7 @@ def d_s(v, w, s, scope, budget=None, prepared=None):
     morphism with h(v) != h(w) realizes the supremum over the scope.
     """
     budget = ensure_budget(budget)
-    if v.alphabet != w.alphabet:
+    if v.alphabet is not w.alphabet:
         raise InvalidInput("d_s needs words over one alphabet")
     if prepared is None:
         prepared = materialize_scope(v.alphabet, s, scope, budget=budget)

@@ -131,7 +131,8 @@ class Element:
         desc = owner.orbits[orbit_index]
         if len(atoms) != desc.dim:
             raise InvalidInput(f"tuple length {len(atoms)} != orbit dim {desc.dim}")
-        if len(set(atoms)) != len(atoms):
+        # fewer than two atoms are distinct anyway
+        if desc.dim > 1 and len(set(atoms)) != desc.dim:
             raise InvalidInput(f"atoms not pairwise distinct: {atoms}")
         self.set = owner
         self.orbit = orbit_index
@@ -167,8 +168,14 @@ def strong_set(dims):
     return OrbitFiniteSet([OrbitDescriptor(n) for n in dims])
 
 
+_ATOMS = strong_set([1])
+
+
 def atoms_set():
-    return strong_set([1])
+    """The alphabet A: one orbit of single atoms. It is built once, and
+    as carriers are interned, ``strong_set([1])``, copies and unpickled
+    values of it are this very object."""
+    return _ATOMS
 
 
 def orbit_tuples(support, fresh, n):
@@ -398,7 +405,8 @@ def apply_map(f, x):
     if x.set is not f.source:
         raise InvalidInput("element does not belong to the map's source set")
     a = f.assignment[x.orbit]
-    return Element(f.target, a.orbit, (x.tuple[p] for p in a.posmap))
+    t = x.tuple
+    return Element(f.target, a.orbit, [t[p] for p in a.posmap])
 
 
 def map_from_concrete(source, target, fn):
@@ -588,20 +596,31 @@ class ProductSet:
             raise CapExceeded("stabilizer exceeds group cap")
         return tuple(sorted(stab))
 
-    def pair(self, x, y):
-        """The element of X x Y denoting the concrete pair (x, y)."""
-        cached = self._pair_cache.get((x, y))
-        if cached is not None:
-            return cached
+    def locate(self, x, y):
+        """The orbit of the concrete pair (x, y) and its atoms in label
+        order: label l of the orbit's key stands for atom ``atoms[l]``.
+
+        The atoms are not yet canonical under the orbit's group; the
+        pair's element is ``Element(self.set, orbit, atoms)``.
+        """
         key, ren = pair_pattern(x, y)
         orbit = self.key_to_orbit.get(key)
         if orbit is None:
             raise InvalidInput("pair pattern not found among product orbits")
-        d = self.set.orbits[orbit].dim
-        inv = [None] * d
+        atoms = [None] * len(ren)
         for a, l in ren.items():
-            inv[l] = a
-        e = Element(self.set, orbit, inv)
+            atoms[l] = a
+        return orbit, tuple(atoms)
+
+    def pair(self, x, y):
+        """The element of X x Y denoting the concrete pair (x, y): the
+        pair's ``locate``d atoms, canonical under its orbit's group.
+        Pairs are memoized per product, as joins pair the same
+        components again."""
+        cached = self._pair_cache.get((x, y))
+        if cached is not None:
+            return cached
+        e = Element(self.set, *self.locate(x, y))
         self._pair_cache[(x, y)] = e
         return e
 
@@ -628,12 +647,20 @@ def product_set(x_set, y_set, budget=None):
     While a product of the same carriers is alive it is returned again,
     and the ticks of its enumeration are charged once more, so the
     budget stops where a fresh enumeration would.
+
+    The orbit of pairs with disjoint atoms has the stabilizer G_x x G_y,
+    so a product with |G_x|·|G_y| above ``GROUP_CAP`` for some orbit
+    pair raises ``CapExceeded`` before its first tick.
     """
     budget = ensure_budget(budget)
     product = _PRODUCTS.get((x_set, y_set))
     if product is not None:
         budget.tick(product.ticks)
         return product
+    x_largest = max((len(o.group) for o in x_set.orbits), default=1)
+    y_largest = max((len(o.group) for o in y_set.orbits), default=1)
+    if x_largest * y_largest > GROUP_CAP:
+        raise CapExceeded("stabilizer exceeds group cap")
     used = budget.used
     keys = {}
     for i, xd in enumerate(x_set.orbits):

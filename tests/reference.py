@@ -37,6 +37,9 @@ enumerated tuple (``product_orbits`` is that sweep, over every tuple),
 and monoid tables, componentwise ones among them, were read by building
 each product orbit's reference element, unpairing it and mapping it
 with ``map_from_concrete``; they are read off the product keys now.
+A multiply that missed its cache built and kept the pair's product
+element and applied the table to it; it reads the table off the pair's
+product orbit now.
 The differential tests check the fast paths against these definitions.
 """
 
@@ -785,6 +788,11 @@ def monoid_by_unpairing(carrier, unit, mult_value, budget=None):
 
     mult = map_from_concrete(product.set, carrier, fn)
     return NominalMonoid(carrier, unit, mult, product)
+
+
+def multiply_via_pair(m, x, y):
+    """x . y as the table's value on the product element of the pair."""
+    return m.mult(m.product.pair(x, y))
 
 
 def componentwise_by_unpairing(m, n, pairs, budget=None):

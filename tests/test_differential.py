@@ -51,6 +51,7 @@ from nommon.monoid import (
 )
 from nommon.prolimit import build_stage
 from nommon.sets import (
+    GROUP_CAP,
     Assignment,
     EquivariantMap,
     OrbitDescriptor,
@@ -1193,8 +1194,8 @@ def check_componentwise(m, n, pairs):
     assert fast.used == slow.used
 
 
-# factor pairs of bound at most 4 in all: the S3 null monoid's square
-# alone takes 20 s to pass the orbit cap
+# factor pairs of bound at most 4 in all: the componentwise monoid of
+# the C3 and S3 null monoids alone takes seconds to build
 FACTOR_PAIRS = st.tuples(
     st.sampled_from(TABLE_MONOIDS), st.sampled_from(TABLE_MONOIDS)
 ).filter(lambda mn: mn[0].carrier.bound + mn[1].carrier.bound <= 4)
@@ -1205,6 +1206,18 @@ FACTOR_PAIRS = st.tuples(
 def test_componentwise_tables_match_the_unpairing_path(factors):
     m, n = factors
     check_componentwise(m, n, product_set(m.carrier, n.carrier))
+
+
+def test_an_over_cap_product_stops_before_its_first_tick():
+    # the S3 null monoid's square has an orbit of dimension 6 with a
+    # group of order 36; in the square of that square, the orbit of
+    # disjoint pairs of it has the stabilizer of order 36 * 36 > GROUP_CAP
+    square = POSITION_GROUP_MONOIDS[2].product.set
+    assert max(len(o.group) for o in square.orbits) ** 2 > GROUP_CAP
+    for budget in (Budget(), Budget(1)):
+        with fresh_products(), pytest.raises(CapExceeded, match="stabilizer"):
+            product_set(square, square, budget=budget)
+        assert budget.used == 0
 
 
 @settings(max_examples=60, **DETERMINISTIC)
@@ -1224,6 +1237,96 @@ def test_join_tables_match_the_unpairing_path_on_catalog_letter_maps(left):
     for right in LETTER_MAPS:
         h2 = letters_map(right)
         check_componentwise(h1.monoid, h2.monoid, bounds._pairing_image(h1, h2, Budget()))
+
+
+# --- multiply read off the pair's product orbit ----------------------------
+
+# the dihedral group of the square and the Klein four-group acting
+# regularly, on dim 4: on some pairs of these orbits the atoms of a pair
+# in label order are not the canonical tuple of its product element, so
+# an ill-defined entry there tells the two readings apart
+DIM4_MONOIDS = [
+    null_monoid(OrbitDescriptor(4, [(1, 2, 3, 0), (3, 2, 1, 0)])),
+    null_monoid(OrbitDescriptor(4, [(1, 0, 3, 2), (2, 3, 0, 1)])),
+]
+
+
+@lru_cache(maxsize=None)
+def ill_defined_entries(m):
+    """The (product orbit, element) pairs whose entry would make m's
+    table ill defined: the orbit's stabilizer moves the element's
+    posmap out of its target coset."""
+    orbits = m.product.set.orbits
+    return [
+        (p, z)
+        for p, o in enumerate(orbits) if o.moves
+        for z in elements_with_support(m.carrier, range(o.dim))
+        if coset_breakers(z.tuple, o.group, m.carrier.orbits[z.orbit].group)
+    ]
+
+
+@st.composite
+def changed_tables(draw, monoids, kinds=("kept", "redirected", "ill-defined")):
+    """(m, p): one of the monoids and a product orbit p, which keeps its
+    entry, is sent to another element over its atoms, or is sent to one
+    its stabilizer does not keep in place (so the table is not well
+    defined)."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ill-defined":
+        m = draw(st.sampled_from([m for m in monoids if ill_defined_entries(m)]))
+        p, z = draw(st.sampled_from(ill_defined_entries(m)))
+        bad = redirect(m, p, z)
+        assert not check_map_well_defined(bad.mult).ok
+        return bad, p
+    m = draw(st.sampled_from(monoids))
+    p = draw(st.sampled_from(range(len(m.product.set.orbits))))
+    if kind == "kept":
+        return m, p
+    atoms = range(m.product.set.orbits[p].dim)
+    return redirect(m, p, draw(st.sampled_from(elements_with_support(m.carrier, atoms)))), p
+
+
+@st.composite
+def multiply_cases(draw, tables, in_orbit=st.booleans()):
+    """(m, x, y) for (m, p) drawn from ``tables``, with x and y over 0-3
+    shared support atoms plus fresh atoms: a pair of orbit p under a
+    random naming of its labels, or any two such elements."""
+    m, p = draw(tables)
+    support = list(range(draw(st.integers(0, 3))))
+    if draw(in_orbit):
+        i, x_labels, j, y_labels = m.product.patterns[p]
+        pool = support + list(range(10, 10 + m.product.set.orbits[p].dim))
+        name = draw(st.permutations(pool))
+        x = m.carrier.element(i, [name[l] for l in x_labels])
+        return m, x, m.carrier.element(j, [name[l] for l in y_labels])
+    fresh = range(m.carrier.bound)
+    x = draw(elements(m.carrier, support + [10 + a for a in fresh]))
+    y = draw(elements(m.carrier, support + [20 + a for a in fresh]))
+    return m, x, y
+
+
+def check_multiply(m, x, y):
+    """A miss of x . y gives the table's value on the pair's product
+    element, and pairs nothing into the product's memo."""
+    # a monoid of its own starts with an empty cache, so x . y misses
+    fresh = NominalMonoid(m.carrier, m.unit, m.mult, m.product)
+    pairs = m.product._pair_cache.copy()
+    got = fresh.multiply(x, y)
+    assert m.product._pair_cache == pairs
+    assert got == reference.multiply_via_pair(fresh, x, y)
+    assert fresh.multiply(x, y) is got
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(multiply_cases(changed_tables(TABLE_MONOIDS + DIM4_MONOIDS)))
+def test_multiply_matches_the_pair_path(case):
+    check_multiply(*case)
+
+
+@settings(max_examples=150, **DETERMINISTIC)
+@given(multiply_cases(changed_tables(DIM4_MONOIDS, ["ill-defined"]), st.just(True)))
+def test_multiply_matches_the_pair_path_on_ill_defined_dim4_tables(case):
+    check_multiply(*case)
 
 
 # --- monoid tables in the text format -------------------------------------

@@ -4,7 +4,8 @@ import random
 import pytest
 
 import nommon.language as language
-from nommon.catalog import builder
+from nommon.bounds import endpoints_bound
+from nommon.catalog import builder, letters_map
 from nommon.errors import Budget, InvalidInput
 from nommon.language import (
     Language,
@@ -28,7 +29,8 @@ from nommon.monoid import (
     validate_morphism,
 )
 from nommon.perm import Perm
-from nommon.sets import Element, orbit_reps
+from nommon.prolimit import DsScope, build_stage, d_s, eta
+from nommon.sets import Element, atoms_set, orbit_reps, strong_set
 
 
 def words_upto(n, atoms=(0, 1, 2)):
@@ -48,6 +50,32 @@ def test_word_requires_single_alphabet():
     a = Word.of_atoms((0,)).letters[0]
     with pytest.raises(InvalidInput):
         Word(a.set, [a, Element(p1.carrier, 1, [0])])
+
+
+def test_word_paths_take_the_alphabet_itself():
+    # a carrier whose first orbit is A's is still another carrier
+    other = strong_set([1, 0])
+    stray = Word(other, [Element(other, 0, [0])])
+    rebuilt = strong_set([1])
+    w = Word(rebuilt, [Element(rebuilt, 0, [a]) for a in (0, 1, 1)])
+    assert Word.of_atoms((0, 1, 1)).alphabet is atoms_set()
+    assert w == Word.of_atoms((0, 1, 1))
+    with pytest.raises(InvalidInput):
+        Word(atoms_set(), stray.letters)
+    l0 = catalog_language("l0")
+    with pytest.raises(InvalidInput):
+        eval_word(l0.genmap, stray)
+    assert eval_word(l0.genmap, w) == l0.genmap.monoid.encode_state(0, 1, 1)
+    stage = build_stage(atoms_set(), endpoints_bound(), [letters_map("first_proj")])
+    with pytest.raises(InvalidInput):
+        eta(stage, stray)
+    assert eta(stage, w) == eta(stage, Word.of_atoms((0, 1, 1)))
+    with pytest.raises(InvalidInput):
+        d_s(w, stray, endpoints_bound(), DsScope.exhaustive(1, 1))
+    letters = FsSubset.singleton(Element(atoms_set(), 0, [0]))
+    with pytest.raises(InvalidInput):
+        fs_member(letters, Element(other, 0, [0]))
+    assert fs_member(letters, Element(rebuilt, 0, [0]))
 
 
 def test_eval_word_examples():

@@ -321,6 +321,22 @@ def test_equal_carriers_are_one_object():
     assert strong_set([1, 2]) is not strong_set([2, 1])
 
 
+def test_the_alphabet_is_one_carrier():
+    a = atoms_set()
+    assert atoms_set() is a
+    assert strong_set([1]) is a
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_repeated_atoms_are_refused_from_two_positions_on():
+    with pytest.raises(InvalidInput):
+        Element(strong_set([2]), 0, (3, 3))
+    assert Element(strong_set([1]), 0, (3,)).tuple == (3,)
+    assert Element(strong_set([0]), 0, ()).tuple == ()
+
+
 def test_a_held_product_is_returned_with_its_ticks():
     x = strong_set([0, 1, 2])
     cold, warm = Budget(), Budget()
