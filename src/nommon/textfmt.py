@@ -67,25 +67,44 @@ class _at:
 
 def _block(lines, head, start, rows):
     """Read the lines of a block up to its 'end': each nonblank line goes,
-    inside its own error boundary, to rows[its first token](tokens, line)."""
+    inside its own error boundary, to rows[its first word](match, line),
+    with the match of that row kind's pattern against the whole line."""
     for line, text in lines:
-        tokens = text.split()
-        if tokens == ["end"]:
+        words = text.split(None, 1)
+        if words == ["end"]:
             return
-        if tokens:
+        if words:
             with _at(line):
-                if tokens[0] not in rows:
+                kind = words[0]
+                if kind not in rows:
                     raise InvalidInput(f"unexpected line in {head} block")
-                rows[tokens[0]](tokens, line)
+                pattern, usage = _ROWS[kind]
+                m = pattern.fullmatch(text)
+                if m is None:
+                    raise InvalidInput(f"expected '{usage}'")
+                rows[kind](m, line)
     raise TextFormatError(f"unterminated {head} block", start)
 
 
 _ATOM = re.compile(r"^a(\d+)$")
-_LABEL = re.compile(r"^x(\d+)$")
-_CALL = r"(\d+\([^()]*\))"
-_MULT = re.compile(rf"^{_CALL}\s*\.\s*{_CALL}\s*->\s*{_CALL}$")
-_MAP = re.compile(rf"^{_CALL}\s*->\s*{_CALL}$")
-_CALL_PARTS = re.compile(r"^(\d+)\(([^()]*)\)$")
+_DIGITS = re.compile(r"\d+")
+# a call 'i(x0 x1)': an orbit number and its arguments, each a number
+# after a prefix letter, apart by whitespace
+_ARGS = r"(\d+\(\s*(?:{0}\d+(?:\s+{0}\d+)*\s*)?\))"
+_XS = _ARGS.format("x")
+# one pattern per row kind, matched against the whole line, with the
+# usage its error names
+_ROWS = {
+    kind: (re.compile(rf"\s*{kind}{rest}\s*"), f"{kind} {usage}")
+    for kind, rest, usage in [
+        ("orbit", r"\s+dim\s+(\d+)(?:\s+group((?:\s*\([\d\s]*\))+))?", "dim <n> [group (p ..) ..]"),
+        ("unit", r"\s+(\d+)", "<orbit>"),
+        ("mult", rf"\s+{_XS}\s*\.\s*{_XS}\s*->\s*{_XS}", "i(..) . j(..) -> r(..)"),
+        ("map", rf"\s+{_XS}\s*->\s*{_XS}", "i(..) -> j(..)"),
+        ("support", r"((?:\s+a\d+)*)", "a.. .."),
+        ("element", rf"\s+{_ARGS.format('a')}", "i(a.. ..)"),
+    ]
+}
 
 
 def _atom(token):
@@ -95,28 +114,15 @@ def _atom(token):
     return int(m.group(1))
 
 
-def _label(token):
-    m = _LABEL.match(token)
-    if not m:
-        raise InvalidInput(f"expected a label like x0, got {token!r}")
-    return int(m.group(1))
+def _numbers(text):
+    """The numbers in a row's text, in order: one digit scan."""
+    return tuple(map(int, _DIGITS.findall(text)))
 
 
-def _parse_call(text, read):
-    """'3(x0 x1)' -> (3, (0, 1)), reading each argument with ``read``."""
-    m = _CALL_PARTS.match(text)
-    if not m:
-        raise InvalidInput(f"expected orbit(args), got {text!r}")
-    return int(m.group(1)), tuple(read(t) for t in m.group(2).split())
-
-
-def _parse_arrow(pattern, tokens, usage):
-    """The (orbit, labels) calls of a 'mult' or 'map' line; the labels of
-    the last one, the value, must occur in the others."""
-    m = pattern.match(" ".join(tokens[1:]))
-    if not m:
-        raise InvalidInput(f"expected '{usage}'")
-    calls = [_parse_call(c, _label) for c in m.groups()]
+def _arrow(m):
+    """The (orbit, labels) calls of a 'mult' or 'map' row's match; the
+    labels of the last one, the value, must occur in the others."""
+    calls = [(n[0], n[1:]) for n in map(_numbers, m.groups())]
     known = {label for _orbit, labels in calls[:-1] for label in labels}
     missing = [f"x{label}" for label in calls[-1][1] if label not in known]
     if missing:
@@ -129,19 +135,6 @@ def _fmt_call(orbit, numbers, prefix="x"):
 
 
 # --- carriers -------------------------------------------------------------
-
-
-def _parse_orbit_line(tokens):
-    if tokens[:2] != ["orbit", "dim"]:
-        raise InvalidInput("expected 'orbit dim <n> [group (..) ..]'")
-    rest = " ".join(tokens[3:])
-    if rest and not rest.startswith("group"):
-        raise InvalidInput("expected 'group' after the dimension")
-    gens = [
-        tuple(int(t) for t in part.split())
-        for part in re.findall(r"\(([^()]*)\)", rest)
-    ]
-    return OrbitDescriptor(int(tokens[2]), gens)
 
 
 def _serialize_orbit(desc):
@@ -163,11 +156,11 @@ def _mult_entries(m):
     orbits = m.carrier.orbits
     return [
         "  mult {} . {} -> {}".format(
-            _fmt_call(i, x_labels),
-            _fmt_call(j, y_labels),
+            _fmt_call(i, left),
+            _fmt_call(j, right),
             _fmt_call(a.orbit, min_coset(a.posmap, orbits[a.orbit].moves)),
         )
-        for (i, x_labels, j, y_labels), a in zip(m.product.patterns, m.mult.assignment)
+        for (i, left, j, right), a in zip(m.product.patterns, m.mult.assignment)
     ]
 
 
@@ -175,17 +168,19 @@ def _carrier_block(head, lines, start, budget):
     """The set or monoid of a block's lines."""
     orbits, units, mults = [], [], []
 
-    def orbit(tokens, line):
-        orbits.append(_parse_orbit_line(tokens))
+    def orbit(m, line):
+        dim, group = m.groups()
+        # each permutation '(p ..)' ends at its ')'
+        gens = [_numbers(p) for p in (group or "").split(")")[:-1]]
+        orbits.append(OrbitDescriptor(int(dim), gens))
 
-    def unit(tokens, line):
-        if len(tokens) != 2 or units:
+    def unit(m, line):
+        if units:
             raise InvalidInput("expected one 'unit <orbit>' line")
-        units.append((int(tokens[1]), line))
+        units.append((int(m[1]), line))
 
-    def mult(tokens, line):
-        calls = _parse_arrow(_MULT, tokens, "mult i(..) . j(..) -> r(..)")
-        mults.append((calls, line))
+    def mult(m, line):
+        mults.append((_arrow(m), line))
 
     rows = {"orbit": orbit}
     if head == "monoid":
@@ -258,8 +253,8 @@ def _serialize_morphism(name, h, names_of):
 def _morphism_block(dom, cod, lines, start):
     assignment = [None] * len(dom.carrier.orbits)
 
-    def map_line(tokens, line):
-        (i, src), (j, tgt) = _parse_arrow(_MAP, tokens, "map i(..) -> j(..)")
+    def map_line(m, line):
+        (i, src), (j, tgt) = _arrow(m)
         dim = dom.carrier.orbits[i].dim
         if src != tuple(range(dim)):
             raise InvalidInput(f"source labels must be {_fmt_call(i, range(dim))}")
@@ -290,18 +285,20 @@ def _serialize_subset(name, u, names_of):
 def _subset_block(carrier, lines, start):
     from nommon.fssets import FsSubset
 
-    support, elements = [], []
+    supports, elements = [], []
 
-    def support_line(tokens, line):
-        support[:] = [_atom(t) for t in tokens[1:]]
+    def support_line(m, line):
+        if supports:
+            raise InvalidInput("expected one 'support' line")
+        supports.append(_numbers(m[1]))
 
-    def element_line(tokens, line):
-        orbit, atoms = _parse_call(" ".join(tokens[1:]), _atom)
+    def element_line(m, line):
+        orbit, *atoms = _numbers(m[1])
         elements.append(Element(carrier, orbit, atoms))
 
     rows = {"support": support_line, "element": element_line}
     _block(lines, "subset", start, rows)
-    return FsSubset.from_elements(carrier, support, elements)
+    return FsSubset.from_elements(carrier, supports[0] if supports else (), elements)
 
 
 def _serialize_term(t):

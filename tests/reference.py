@@ -40,6 +40,9 @@ with ``map_from_concrete``; they are read off the product keys now.
 A multiply that missed its cache built and kept the pair's product
 element and applied the table to it; it reads the table off the pair's
 product orbit now.
+The text format read a row by splitting it into tokens, joining them
+back and matching the calls, one regex match per argument
+(``parse_arrow``); it matches one pattern per row kind now.
 The differential tests check the fast paths against these definitions.
 """
 
@@ -857,6 +860,78 @@ def joint_pattern(left_names, right_names):
     )
 
 
+# --- the text format's token reader ---------------------------------------
+
+LABEL = re.compile(r"^x(\d+)$")
+ATOM = re.compile(r"^a(\d+)$")
+CALL = r"(\d+\([^()]*\))"
+MULT = re.compile(rf"^{CALL}\s*\.\s*{CALL}\s*->\s*{CALL}$")
+MAP = re.compile(rf"^{CALL}\s*->\s*{CALL}$")
+CALL_PARTS = re.compile(r"^(\d+)\(([^()]*)\)$")
+
+
+def read_label(token):
+    m = LABEL.match(token)
+    if not m:
+        raise InvalidInput(f"expected a label like x0, got {token!r}")
+    return int(m.group(1))
+
+
+def read_atom(token):
+    m = ATOM.match(token)
+    if not m:
+        raise InvalidInput(f"expected an atom like a0, got {token!r}")
+    return int(m.group(1))
+
+
+def parse_call(text, read):
+    """'3(x0 x1)' -> (3, (0, 1)), reading each argument with ``read``."""
+    m = CALL_PARTS.match(text)
+    if not m:
+        raise InvalidInput(f"expected orbit(args), got {text!r}")
+    return int(m.group(1)), tuple(read(t) for t in m.group(2).split())
+
+
+def parse_arrow(pattern, tokens, usage):
+    """The (orbit, labels) calls of a 'mult' or 'map' line; the labels of
+    the last one, the value, must occur in the others."""
+    m = pattern.match(" ".join(tokens[1:]))
+    if not m:
+        raise InvalidInput(f"expected '{usage}'")
+    calls = [parse_call(c, read_label) for c in m.groups()]
+    known = {label for _orbit, labels in calls[:-1] for label in labels}
+    missing = [f"x{label}" for label in calls[-1][1] if label not in known]
+    if missing:
+        raise InvalidInput(f"result labels {missing} do not occur on the left")
+    return calls
+
+
+def parse_orbit_line(tokens):
+    """The orbit of an 'orbit dim <n> [group (..) ..]' line's tokens: the
+    text after 'group' is read for its parenthesized permutations only."""
+    if tokens[:2] != ["orbit", "dim"]:
+        raise InvalidInput("expected 'orbit dim <n> [group (..) ..]'")
+    rest = " ".join(tokens[3:])
+    if rest and not rest.startswith("group"):
+        raise InvalidInput("expected 'group' after the dimension")
+    gens = [
+        tuple(int(t) for t in part.split())
+        for part in re.findall(r"\(([^()]*)\)", rest)
+    ]
+    return OrbitDescriptor(int(tokens[2]), gens)
+
+
+def parse_row(text):
+    """What the token reader read off one 'mult', 'map' or 'element' line:
+    its calls, or InvalidInput."""
+    tokens = text.split()
+    if tokens[0] == "mult":
+        return parse_arrow(MULT, tokens, "mult i(..) . j(..) -> r(..)")
+    if tokens[0] == "map":
+        return parse_arrow(MAP, tokens, "map i(..) -> j(..)")
+    return [parse_call(" ".join(tokens[1:]), read_atom)]
+
+
 def parse_monoid(document):
     """The monoid of a one-monoid document in canonical form, read by
     looking up each reference pair's first-occurrence name pattern among
@@ -865,7 +940,7 @@ def parse_monoid(document):
     for text in document.splitlines()[1:-1]:
         tokens = text.split()
         if tokens[0] == "orbit":
-            orbits.append(textfmt._parse_orbit_line(tokens))
+            orbits.append(parse_orbit_line(tokens))
         elif tokens[0] == "unit":
             unit_orbit = int(tokens[1])
         else:

@@ -49,6 +49,7 @@ from nommon.monoid import (
     validate_monoid,
     validate_morphism,
 )
+from nommon.perm import Perm
 from nommon.prolimit import build_stage
 from nommon.sets import (
     GROUP_CAP,
@@ -56,6 +57,7 @@ from nommon.sets import (
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    act,
     atoms_set,
     check_map_well_defined,
     coset_breakers,
@@ -621,6 +623,34 @@ def test_multiply_is_the_table_on_equal_carriers(data):
         pairs.reverse()  # the twin's product fills the cache first
     for x, y in pairs:
         assert m.multiply(x, y) == m.mult(m.product.pair(x, y))
+
+
+# --- equivariance of multiply, pair and unpair --------------------------
+
+
+@st.composite
+def perms(draw, atoms=range(8)):
+    """A finite permutation of the atoms: a shuffle of them."""
+    atoms = list(atoms)
+    return Perm(dict(zip(atoms, draw(st.permutations(atoms)))))
+
+
+# catalog monoids, and null monoids with a Z/2, C3, S3 or Z/2 x Z/2 orbit
+EQUIVARIANCE_MONOIDS = [builder(n) for n in catalog_names()] + POSITION_GROUP_MONOIDS
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.sampled_from(EQUIVARIANCE_MONOIDS), st.data())
+def test_multiply_pair_and_unpair_commute_with_atom_permutations(m, data):
+    # elements over six atoms, moved by a shuffle of eight, so some atoms
+    # leave the elements' pool
+    x, y = (data.draw(elements(m.carrier)) for _ in range(2))
+    e = data.draw(elements(m.product.set, atoms=range(8)))
+    pi = data.draw(perms())
+    px, py = act(pi, x), act(pi, y)
+    assert act(pi, m.multiply(x, y)) == m.multiply(px, py)
+    assert act(pi, m.product.pair(x, y)) == m.product.pair(px, py)
+    assert m.product.unpair(act(pi, e)) == tuple(act(pi, c) for c in m.product.unpair(e))
 
 
 # monoids with a Z/2 orbit, and catalog monoids; bound at most 2, since

@@ -1,7 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from nommon import textfmt
 from nommon.bounds import SupportBound, endpoints_bound, first_letter_bound
 from nommon.catalog import builder, catalog_names, catalog_quotient
 from nommon.errors import Budget, InvalidInput
@@ -164,6 +168,32 @@ COMPARE_MORPHISM = serialize({"M": COMPARE.dom, "N": COMPARE.cod}) + (
 )
 
 
+# a unit and a zero
+TWO_POINTS = """\
+monoid T
+  orbit dim 0
+  orbit dim 0
+  unit 0
+  mult 0() . 0() -> 0()
+  mult 0() . 1() -> 1()
+  mult 1() . 0() -> 1()
+  mult 1() . 1() -> 1()
+end
+"""
+
+SUBSET = """\
+set A
+  orbit dim 1
+  orbit dim 2
+end
+subset U of A
+  support a0
+  element 0(a0)
+  element 1(a1 a0)
+end
+"""
+
+
 def test_hand_written_pairs_validate():
     m = parse(NULL_PAIRS)["P"]
     assert validate_monoid(m).ok
@@ -295,6 +325,11 @@ MALFORMED = {
         HAND_WRITTEN_N, "mult 1(x0) . 1(x1) -> 2()", "mult 1(x3) . 1(x5) -> 1(x3 x5)"
     ),
     "second-line-off-a-key": before_end(HAND_WRITTEN_N, "mult 1(x4) . 1(x2) -> 2()"),
+    # -1 would index the last orbit
+    "unit-negative": edited(TWO_POINTS, "unit 0", "unit -1"),
+    "group-then-junk": edited(NULL_PAIRS, "group (1 0)", "group (1 0) junk"),
+    "group-word-run-on": edited(NULL_PAIRS, "group (1 0)", "groupX (1 0)"),
+    "second-support-line": edited(SUBSET, "  support a0\n", "  support a0\n  support a1\n"),
 }
 
 
@@ -347,3 +382,129 @@ def test_morphism_needs_known_monoids():
 def test_unbalanced_term():
     with pytest.raises(TextFormatError):
         parse("term t = (a0\n")
+
+
+def test_hand_written_subset_reads_its_support():
+    u = parse(SUBSET)["U"]
+    assert u.support == frozenset({0})
+    assert serialize({"A": u.carrier, "U": u}) == SUBSET
+
+
+# --- the row patterns against the token reader ----------------------------
+
+
+@st.composite
+def calls(draw, prefix, bad):
+    """'i(p0 p1)' with its spacing varied; if ``bad``, one piece of it is
+    drawn from the malformed ones."""
+    spots = ["orbit", "gap", "opener", "closer", "arg", "sep"]
+    spot = draw(st.sampled_from(spots)) if bad else None
+
+    def piece(name, good, wrong):
+        return draw(st.sampled_from(wrong if spot == name else good))
+
+    labels = [f"{prefix}{k}" for k in range(4)]
+    other = "a" if prefix == "x" else "x"
+    wrong_labels = ["y0", prefix, f"{prefix}1{prefix}2", f"{other}0", "-1", "0"]
+    n = draw(st.integers(2 if spot == "sep" else 1 if spot == "arg" else 0, 3))
+    wrong_arg = draw(st.integers(0, n - 1)) if spot == "arg" else None
+    args = [draw(st.sampled_from(wrong_labels if k == wrong_arg else labels)) for k in range(n)]
+    text = args[0] if args else ""
+    for arg in args[1:]:
+        text += piece("sep", [" ", " ", "  ", "\t"], ["", ","]) + arg
+    pad = st.sampled_from(["", "", " ", "  "])
+    return "".join([
+        piece("orbit", ["0", "1", "2", "3", "01"], ["-1", "", "x"]),
+        piece("gap", [""], [" "]),
+        piece("opener", ["("], ["", "(("]),
+        draw(pad) + text + draw(pad),
+        piece("closer", [")"], ["", "))"]),
+    ])
+
+
+@st.composite
+def rows(draw, kind):
+    """A ``kind`` line with extra or missing whitespace; half of them have
+    one malformed call or separator."""
+    arity = {"mult": 3, "map": 2, "element": 1}[kind]
+    # the index of the malformed call, or -1 for the dot, -2 for the arrow
+    bad = draw(st.integers(-arity, arity - 1)) if draw(st.booleans()) else None
+    parts = [draw(calls("a" if kind == "element" else "x", k == bad)) for k in range(arity)]
+    dot = [" . ", ".", " .", ". "] if bad != -1 else [" , ", "", " .. "]
+    arrow = [" -> ", "->", " ->", "-> "] if bad != -2 else [" - > ", " => ", " "]
+    joins = {"mult": [dot, arrow], "map": [arrow], "element": []}[kind]
+    body = parts[0] + "".join(draw(st.sampled_from(j)) + c for j, c in zip(joins, parts[1:]))
+    lead = draw(st.sampled_from(["  ", ""]))
+    gap = draw(st.sampled_from([" ", "\t", "  "]))
+    trail = draw(st.sampled_from(["", " "]))
+    return f"{lead}{kind}{gap}{body}{trail}"
+
+
+def row_calls(kind, text):
+    """The calls the row pattern of ``kind`` reads off the line."""
+    m = textfmt._ROWS[kind][0].fullmatch(text)
+    if m is None:
+        raise InvalidInput(f"expected '{textfmt._ROWS[kind][1]}'")
+    if kind == "element":
+        orbit, *atoms = textfmt._numbers(m[1])
+        return [(orbit, tuple(atoms))]
+    return textfmt._arrow(m)
+
+
+def fmt_row(kind, calls):
+    written = [textfmt._fmt_call(i, args, "a" if kind == "element" else "x") for i, args in calls]
+    sep = {"mult": [" . ", " -> "], "map": [" -> "], "element": []}[kind]
+    return f"  {kind} " + "".join(c + s for c, s in zip(written, sep + [""]))
+
+
+BASES = {
+    "mult": [HAND_WRITTEN_N, NULL_PAIRS],
+    "map": [COMPARE_MORPHISM],
+    "element": [SUBSET],
+}
+
+
+def outcome(document):
+    """The canonical text of a document, or the line and message of its
+    error."""
+    try:
+        return serialize(parse(document))
+    except TextFormatError as exc:
+        return exc.line, str(exc)
+
+
+@st.composite
+def respaced(draw, text):
+    """``text`` with none, one or two spaces or a tab before each of the
+    pieces after its row word: a row of a document with its spacing varied."""
+    word, rest = text.split(None, 1)
+    spaces = st.sampled_from(["", " ", "  ", "\t"])
+    return f"  {word} " + "".join(draw(spaces) + piece for piece in rest.split(" "))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(BASES)), st.data())
+def test_row_patterns_read_what_the_token_reader_reads(kind, data):
+    # a line put in place of a row of its kind in a document: drawn, or
+    # that row respaced
+    lines = data.draw(st.sampled_from(BASES[kind])).splitlines()
+    n = data.draw(st.sampled_from([k for k, t in enumerate(lines) if t.split()[0] == kind]))
+    text = data.draw(rows(kind) | respaced(lines[n]))
+    doc = "\n".join(lines[:n] + [text] + lines[n + 1:]) + "\n"
+    try:
+        expected = reference.parse_row(text)
+    except InvalidInput:
+        expected = None
+    try:
+        got = row_calls(kind, text)
+    except InvalidInput:
+        got = None
+    assert got == expected
+    if expected is None:
+        with pytest.raises(TextFormatError) as exc:
+            parse(doc)
+        assert exc.value.line == n + 1
+    else:
+        # the same as its calls written canonically
+        canonical = "\n".join(lines[:n] + [fmt_row(kind, expected)] + lines[n + 1:]) + "\n"
+        assert outcome(doc) == outcome(canonical)
