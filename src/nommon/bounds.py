@@ -26,6 +26,7 @@ from nommon.sets import (
     Element,
     ProductSet,
     act,
+    key_components,
     map_from_concrete,
     orbit_reps,
     orbit_tuples,
@@ -91,17 +92,12 @@ def _pairing_image(h1, h2, budget):
             keys.append(key)
         return key
 
-    def pair_at(key, t):
-        # the pair of the key's orbit whose label l is the atom t[l]
-        return (Element(m1.carrier, key[0], [t[l] for l in key[1]]),
-                Element(m2.carrier, key[2], [t[l] for l in key[3]]))
-
     def multiply_out(i, j):
         di, dj = dims[i], dims[j]
-        ux, uy = pair_at(i, range(di))
+        ux, uy = key_components(m1.carrier, m2.carrier, i, range(di))
         for t in orbit_tuples(range(di), range(di, di + dj), dj):
             budget.tick()
-            vx, vy = pair_at(j, t)
+            vx, vy = key_components(m1.carrier, m2.carrier, j, t)
             reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
 
     reach(m1.unit, m2.unit)
@@ -150,8 +146,9 @@ def is_s_bounded(h0, s, budget=None):
     visited (``closed_orbit_indices``): supp <= S on a whole orbit forces
     dim 0, so the first positive-dim one gives a witness once its atoms
     leave S. Against supp q(w), each orbit that the pairs (h(w), q(w))
-    reach (``_pairing_image``) is checked on its reference pair. One tick
-    per orbit visited, in order; no image monoid is built.
+    reach (``_pairing_image``) is checked on its key's labels; its
+    reference pair is the witness. One tick per orbit visited, in order;
+    no image monoid is built.
     """
     budget = ensure_budget(budget)
     if s.variant == "constant":
@@ -171,11 +168,11 @@ def is_s_bounded(h0, s, budget=None):
     if q0.sigma != h0.sigma:
         raise InvalidInput("bound and morphism have different alphabets")
     pairs = _pairing_image(h0, q0, budget)
-    for r in orbit_reps(pairs.set):
+    for p, desc in enumerate(pairs.set.orbits):
         budget.tick()
-        a, b = pairs.unpair(r)
-        if not set(a.tuple) <= set(b.tuple):
-            return BoundReport(False, (a, b))
+        _, x_labels, _, y_labels = pairs.patterns[p]
+        if not set(x_labels) <= set(y_labels):
+            return BoundReport(False, pairs.components(p, range(desc.dim)))
     return BoundReport(True)
 
 
@@ -318,11 +315,12 @@ def recheck_msr_certificate(e, certificate):
 
 
 def eq_msr_predicate(m):
-    """supp(xy) empty only for pairs of empty support, on orbit reps."""
-    for e in orbit_reps(m.product.set):
-        if m.mult(e).tuple == () and e.tuple != ():
-            return False
-    return True
+    """supp(xy) empty only for pairs of empty support: no product orbit
+    of positive dimension has an empty posmap."""
+    return not any(
+        a.posmap == () and desc.dim
+        for a, desc in zip(m.mult.assignment, m.product.set.orbits)
+    )
 
 
 # --- enumeration and factorization ----------------------------------------

@@ -236,21 +236,14 @@ def cmd_classify_quotient(args, report, budget):
 
 def cmd_factor(args, report, budget):
     from nommon.bounds import factor_through
-    from nommon.catalog import catalog_names, letters_map
+    from nommon.catalog import builder, catalog_names, letters_map
 
     e = _resolve_quotient(args.quotient, args, budget)
-    # the map to factor: the canonical letter evaluation of the codomain
-    target_name = next(
-        (
-            n
-            for n in catalog_names()
-            if builder_carrier_matches(n, e.cod)
-        ),
-        None,
-    )
+    # the map to factor: the letter map of the catalog monoid the codomain equals
+    target_name = next((n for n in catalog_names() if builder(n) == e.cod), None)
     if target_name is None:
-        raise InvalidInput("cannot infer a canonical evaluation of the codomain")
-    h0 = letters_map(target_name, e.cod)
+        raise InvalidInput("the codomain is no catalog monoid, so it has no letter map")
+    h0 = letters_map(target_name)
     lift = factor_through(h0, e, _resolve_bound(args.bound, budget), budget=budget)
     if lift is None:
         report.say("no s-bounded factorization exists (search exhausted)")
@@ -260,15 +253,6 @@ def cmd_factor(args, report, budget):
     a = Element(atoms_set(), 0, [0])
     report.say(f"factorization found: a -> {_fmt_element(lift(a))}")
     return HOLDS
-
-
-def builder_carrier_matches(name, monoid):
-    from nommon.catalog import builder
-
-    try:
-        return builder(name).carrier == monoid.carrier
-    except InvalidInput:
-        return False
 
 
 def cmd_join(args, report, budget):

@@ -27,7 +27,7 @@ from nommon.sets import (
     compose_maps,
     instantiate_s_key,
     map_from_concrete,
-    s_orbit_key,
+    pair_s_orbit_key,
     s_orbit_keys,
     s_orbit_reps,
     strong_set,
@@ -144,7 +144,8 @@ def syntactic_congruence(m, p, budget=None):
     - the node of (x, y) has edges to the S-orbits of (ux, uy) and
       (xu, yu) for u over the Perm_{S + supp x + supp y}-orbit
       representatives of the ``generating_orbits``, since a permutation
-      fixing S, x and y keeps each target in its S-orbit;
+      fixing S, x and y keeps each target in its S-orbit, whose key
+      ``pair_s_orbit_key`` reads with no element built;
     - removal spreads backwards along the edges in one stack pass;
       diagonal nodes reach only diagonal ones, so they get no edges.
 
@@ -180,11 +181,8 @@ def syntactic_congruence(m, p, budget=None):
         if us is None:
             us = contexts[t] = s_orbit_reps(m.carrier, t, budget=budget, orbits=gens)
         for u in us:
-            for target in (
-                prod.pair(times(u, x), times(u, y)),
-                prod.pair(times(x, u), times(y, u)),
-            ):
-                preds[s_orbit_key(target, s)].append(key)
+            preds[pair_s_orbit_key(prod, times(u, x), times(u, y), s)].append(key)
+            preds[pair_s_orbit_key(prod, times(x, u), times(y, u), s)].append(key)
     dead = set(removed)
     while removed:
         budget.tick()

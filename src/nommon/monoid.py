@@ -32,6 +32,10 @@ from nommon.sets import (
 )
 
 
+# entries of one monoid's multiply memo; the benchmark's largest holds 684
+MULTIPLY_CACHE_CAP = 1 << 14
+
+
 class NominalMonoid:
     """Carrier + unit + multiplication on canonical product orbits.
 
@@ -52,7 +56,8 @@ class NominalMonoid:
         self._hash = hash((carrier, unit, mult))
 
     def multiply(self, x, y):
-        """x . y, memoized on the pair.
+        """x . y, memoized on the pair; the memo is cleared at a miss once
+        it holds ``MULTIPLY_CACHE_CAP`` entries, so it stays bounded.
 
         A miss reads the table straight off the pair's product orbit:
         the pair's atoms in label order (``ProductSet.locate``), made
@@ -70,6 +75,8 @@ class NominalMonoid:
         key = (x.orbit, x.tuple, y.orbit, y.tuple)
         z = self._cache.get(key)
         if z is None:
+            if len(self._cache) >= MULTIPLY_CACHE_CAP:
+                self._cache.clear()
             orbit, atoms = self.product.locate(x, y)
             moves = self.product.set.orbits[orbit].moves
             t = min_coset(atoms, moves) if moves else atoms
@@ -106,11 +113,11 @@ def monoid_from_concrete(carrier, unit, mult_value, budget=None):
     """
     product = product_set(carrier, carrier, budget=budget)
     assignment = []
-    for (i, x_labels, j, y_labels), desc in zip(product.patterns, product.set.orbits):
-        z = mult_value(Element(carrier, i, x_labels), Element(carrier, j, y_labels))
+    for p, desc in enumerate(product.set.orbits):
+        atoms = range(desc.dim)
+        z = mult_value(*product.components(p, atoms))
         if z.set is not carrier:
             raise InvalidInput("concrete function left the target set")
-        atoms = range(desc.dim)
         if not all(a in atoms for a in z.tuple):
             raise InvalidInput(
                 f"image atoms {z.tuple} escape the argument's support {tuple(atoms)}"
@@ -329,9 +336,9 @@ def validate_morphism(h, budget=None):
         failures.append(("ill-defined", (orbit, gen)))
     if h(h.dom.unit) != h.cod.unit:
         failures.append(("unit", h.dom.unit))
-    for e in orbit_reps(h.dom.product.set):
+    for p, desc in enumerate(h.dom.product.set.orbits):
         budget.tick()
-        x, y = h.dom.product.unpair(e)
+        x, y = h.dom.product.components(p, range(desc.dim))
         lhs = h(h.dom.multiply(x, y))
         rhs = h.cod.multiply(h(x), h(y))
         if lhs != rhs:
@@ -384,22 +391,20 @@ def componentwise_monoid(m, n, pairs, budget=None):
     as reference pair orbit p's reference pair (x1, x2), its pattern's
     label tuples, and the pair (y1, y2) of orbit q whose pattern labels
     are renamed through ``labels``; the entry is the orbit and tuple of
-    ``pairs.pair(x1 y1, x2 y2)``.
+    ``pairs.pair(x1 y1, x2 y2)``, memoized for the length of the call.
     """
     unit = pairs.pair(m.unit, n.unit)
     square = product_set(pairs.set, pairs.set, budget=budget)
-    left, right = m.carrier, n.carrier
-    refs = [
-        (Element(left, i, x_labels), Element(right, j, y_labels))
-        for i, x_labels, j, y_labels in pairs.patterns
-    ]
+    refs = [pairs.components(p, range(desc.dim)) for p, desc in enumerate(pairs.set.orbits)]
+    paired = {}  # (x1 y1, x2 y2) -> its element of pairs
     assignment = []
     for p, _, q, labels in square.patterns:
         x1, x2 = refs[p]
-        i, x_labels, j, y_labels = pairs.patterns[q]
-        y1 = Element(left, i, [labels[l] for l in x_labels])
-        y2 = Element(right, j, [labels[l] for l in y_labels])
-        z = pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
+        y1, y2 = pairs.components(q, labels)
+        xy = (m.multiply(x1, y1), n.multiply(x2, y2))
+        z = paired.get(xy)
+        if z is None:
+            z = paired[xy] = pairs.pair(*xy)
         assignment.append(Assignment(z.orbit, z.tuple))
     mult = EquivariantMap(square.set, pairs.set, assignment)
     prod = NominalMonoid(pairs.set, unit, mult, square)
@@ -748,21 +753,17 @@ def _monoid_tables(carrier, unit, budget):
     """All multiplication assignments on the carrier with the given unit."""
     prod = product_set(carrier, carrier)
     choices = []
-    for p, (i, j) in enumerate(prod.factors):
-        ref = Element(prod.set, p, range(prod.set.orbits[p].dim))
-        x, y = prod.unpair(ref)
-        pos_of = {a: q for q, a in enumerate(ref.tuple)}
+    for p, desc in enumerate(prod.set.orbits):
+        # the reference pair's atoms are 0..d-1, so a result's tuple is its posmap
+        atoms = range(desc.dim)
+        x, y = prod.components(p, atoms)
         if x == unit:
             forced = [y]
         elif y == unit:
             forced = [x]
         else:
-            forced = elements_with_support(carrier, ref.tuple, budget=budget)
-        opts = []
-        for z in forced:
-            posmap = tuple(pos_of[a] for a in z.tuple)
-            opts.append(Assignment(z.orbit, posmap))
-        choices.append(opts)
+            forced = elements_with_support(carrier, atoms, budget=budget)
+        choices.append([Assignment(z.orbit, z.tuple) for z in forced])
     for combo in itertools.product(*choices):
         budget.tick()
         yield prod, EquivariantMap(prod.set, carrier, combo)

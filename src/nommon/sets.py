@@ -128,7 +128,13 @@ class Element:
 
     def __init__(self, owner, orbit_index, atoms):
         atoms = tuple(atoms)
-        desc = owner.orbits[orbit_index]
+        try:
+            # a negative index would read an orbit from the end
+            if orbit_index < 0:
+                raise IndexError
+            desc = owner.orbits[orbit_index]
+        except IndexError:
+            raise InvalidInput(f"orbit index {orbit_index} out of range") from None
         if len(atoms) != desc.dim:
             raise InvalidInput(f"tuple length {len(atoms)} != orbit dim {desc.dim}")
         # fewer than two atoms are distinct anyway
@@ -267,6 +273,14 @@ def s_orbit_key(x, support):
     fixed = _rank_labels(frozenset(support))
     labels, _ren = first_occurrence_labels(x.tuple, x.descriptor().group, fixed)
     return (x.orbit, labels)
+
+
+def pair_s_orbit_key(product, x, y, support):
+    """``s_orbit_key(product.pair(x, y), support)`` off the pair's ``locate``d
+    atoms, with no element built: the key minimizes over the whole group."""
+    orbit, atoms = product.locate(x, y)
+    fixed = _rank_labels(frozenset(support))
+    return orbit, first_occurrence_labels(atoms, product.set.orbits[orbit].group, fixed)[0]
 
 
 def instantiate_s_key(owner, key, support):
@@ -517,6 +531,14 @@ def pair_pattern(x, y):
     return (x.orbit, tuple(range(len(xt))), y.orbit, best), best_ren
 
 
+def key_components(left, right, key, atoms):
+    """The component pair in X x Y of the product-orbit key (x_orbit,
+    x_labels, y_orbit, y_labels), label l standing for ``atoms[l]``."""
+    i, x_labels, j, y_labels = key
+    return (Element(left, i, [atoms[l] for l in x_labels]),
+            Element(right, j, [atoms[l] for l in y_labels]))
+
+
 class ProductSet:
     """A union of orbits of X x Y, given by their keys, with pairing
     and unpairing.
@@ -524,6 +546,8 @@ class ProductSet:
     An orbit's key is the pair pattern (x_orbit, x_labels, y_orbit,
     y_labels) of its pairs (``pair_pattern``); its reference pair has
     the labels as atoms, and its elements are that pair relabeled.
+    ``components`` decodes a key on given atoms (``key_components``);
+    it is the one place a key becomes a pair of elements.
     Orbit i is the i-th key of the list. ``product_set`` lists every
     key of X x Y, in sorted order:
 
@@ -551,7 +575,6 @@ class ProductSet:
             stab = self._stabilizer(x_orbit, x_labels, y_orbit, y_labels, d)
             descriptors.append(OrbitDescriptor(d, _group=stab))
         self.set = OrbitFiniteSet(descriptors)
-        self._pair_cache = {}
 
     # the projections are built on first use: a square never needs them
     @cached_property
@@ -614,22 +637,17 @@ class ProductSet:
 
     def pair(self, x, y):
         """The element of X x Y denoting the concrete pair (x, y): the
-        pair's ``locate``d atoms, canonical under its orbit's group.
-        Pairs are memoized per product, as joins pair the same
-        components again."""
-        cached = self._pair_cache.get((x, y))
-        if cached is not None:
-            return cached
-        e = Element(self.set, *self.locate(x, y))
-        self._pair_cache[(x, y)] = e
-        return e
+        pair's ``locate``d atoms, canonical under its orbit's group."""
+        return Element(self.set, *self.locate(x, y))
+
+    def components(self, orbit, atoms):
+        """The component pair of orbit ``orbit`` whose label l is the
+        atom ``atoms[l]``; on atoms 0..d-1 it is the reference pair."""
+        return key_components(self.left, self.right, self.patterns[orbit], atoms)
 
     def unpair(self, e):
         """The concrete component pair of a product element."""
-        x_orbit, x_labels, y_orbit, y_labels = self.patterns[e.orbit]
-        x = Element(self.left, x_orbit, (e.tuple[l] for l in x_labels))
-        y = Element(self.right, y_orbit, (e.tuple[l] for l in y_labels))
-        return x, y
+        return self.components(e.orbit, e.tuple)
 
 
 def product_set(x_set, y_set, budget=None):

@@ -43,6 +43,13 @@ product orbit now.
 The text format read a row by splitting it into tokens, joining them
 back and matching the calls, one regex match per argument
 (``parse_arrow``); it matches one pattern per row kind now.
+A product-orbit key was turned into its component pair by hand in
+several places (``unpair``, over ``orbit_reps`` of the product for the
+reference pairs); ``ProductSet.components`` decodes every key now. The
+syntactic congruence keyed each edge target on its product element
+(``edge_key``), and the bound checks read supports and posmaps off
+unpaired orbit representatives (``is_s_bounded_via_morphism``,
+``eq_msr_predicate``); they read the keys and the located atoms now.
 The differential tests check the fast paths against these definitions.
 """
 
@@ -50,7 +57,7 @@ import itertools
 import re
 from itertools import islice, permutations
 
-from nommon import textfmt
+from nommon import bounds, textfmt
 from nommon.bounds import BoundReport, JoinResult, SupportBound
 from nommon.catalog import builder
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
@@ -566,8 +573,8 @@ def _pairing_image(m1, m2, gen_pairs, budget):
     pairs = product_set(m1.carrier, m2.carrier, budget=budget)
 
     def mult_pair(u, v):
-        x1, x2 = pairs.unpair(u)
-        y1, y2 = pairs.unpair(v)
+        x1, x2 = unpair(pairs, u)
+        y1, y2 = unpair(pairs, v)
         return pairs.pair(m1.multiply(x1, y1), m2.multiply(x2, y2))
 
     reachable = {pairs.pair(m1.unit, m2.unit).orbit}
@@ -625,7 +632,7 @@ def is_s_bounded(h0, s, budget=None):
     )
     for r in orbit_reps(mon.carrier):
         budget.tick()
-        a, b = pairs.unpair(embed(r))
+        a, b = unpair(pairs, embed(r))
         if not set(a.tuple) <= set(b.tuple):
             return BoundReport(False, (a, b))
     return BoundReport(True)
@@ -786,11 +793,53 @@ def monoid_by_unpairing(carrier, unit, mult_value, budget=None):
     product = product_set(carrier, carrier, budget=budget)
 
     def fn(e):
-        x, y = product.unpair(e)
+        x, y = unpair(product, e)
         return mult_value(x, y)
 
     mult = map_from_concrete(product.set, carrier, fn)
     return NominalMonoid(carrier, unit, mult, product)
+
+
+def unpair(product, e):
+    """The component pair of a product element: each label of its
+    orbit's key read off the element's tuple by hand."""
+    x_orbit, x_labels, y_orbit, y_labels = product.patterns[e.orbit]
+    x = Element(product.left, x_orbit, (e.tuple[l] for l in x_labels))
+    y = Element(product.right, y_orbit, (e.tuple[l] for l in y_labels))
+    return x, y
+
+
+def reference_pairs(product):
+    """Each product orbit's reference pair: its representative (atoms
+    0..d-1), unpaired."""
+    return [unpair(product, e) for e in orbit_reps(product.set)]
+
+
+def edge_key(product, x, y, support):
+    """The S-orbit key of the pair (x, y), read off its product element."""
+    return s_orbit_key(product.pair(x, y), support)
+
+
+def is_s_bounded_via_morphism(h0, s, budget=None):
+    """``is_s_bounded`` against the via-morphism bound s, read off the
+    unpaired representative of each orbit of the pairing image."""
+    budget = ensure_budget(budget)
+    pairs = bounds._pairing_image(h0, s.data, budget)
+    for r in orbit_reps(pairs.set):
+        budget.tick()
+        a, b = unpair(pairs, r)
+        if not set(a.tuple) <= set(b.tuple):
+            return BoundReport(False, (a, b))
+    return BoundReport(True)
+
+
+def eq_msr_predicate(m):
+    """supp(xy) empty only for pairs of empty support, on the product's
+    orbit representatives and their products."""
+    for e in orbit_reps(m.product.set):
+        if m.mult(e).tuple == () and e.tuple != ():
+            return False
+    return True
 
 
 def multiply_via_pair(m, x, y):
@@ -804,8 +853,8 @@ def componentwise_by_unpairing(m, n, pairs, budget=None):
     unit = pairs.pair(m.unit, n.unit)
 
     def mult_value(x, y):
-        x1, x2 = pairs.unpair(x)
-        y1, y2 = pairs.unpair(y)
+        x1, x2 = unpair(pairs, x)
+        y1, y2 = unpair(pairs, y)
         return pairs.pair(m.multiply(x1, y1), n.multiply(x2, y2))
 
     prod = monoid_by_unpairing(pairs.set, unit, mult_value, budget=budget)
@@ -823,7 +872,7 @@ def mult_entries(m):
     lines = []
     for p in range(len(m.product.set.orbits)):
         ref = Element(m.product.set, p, range(m.product.set.orbits[p].dim))
-        x, y = m.product.unpair(ref)
+        x, y = unpair(m.product, ref)
         z = m.mult(ref)
         names = {a: f"x{a}" for a in ref.tuple}
         lines.append(

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nommon import bounds, sets
+from nommon import bounds, monoid, sets
 from nommon.bounds import (
     SupportBound,
     _pairing_image,
@@ -19,7 +19,7 @@ from nommon.bounds import (
 )
 from nommon.catalog import builder, catalog_quotient, letters_map
 from nommon.errors import Budget, BudgetExhausted, CapExceeded, InvalidInput
-from nommon.language import catalog_language
+from nommon.language import catalog_language, syntactic_of_language
 from nommon.monoid import (
     GeneratorMap,
     identity_morphism,
@@ -423,6 +423,24 @@ def test_budget_stops_alike_with_an_equal_product_held(monkeypatch, run):
     exhausted = [(limit + 1, f"work budget of {limit} exhausted")
                  for limit in range(1, full.used)]
     assert built == exhausted + [(full.used, None)]
+
+
+def l0_syntactic(budget):
+    return syntactic_of_language(catalog_language("l0"), budget=budget)[1]
+
+
+@pytest.mark.parametrize("run", [first_last_join, first_last_l0_stage, l0_syntactic])
+def test_budget_stops_alike_with_a_multiply_memo_of_one_entry(monkeypatch, run):
+    # multiply charges no ticks, so a memo cleared at every miss moves no
+    # stop and no result
+    full = Budget()
+    kept = run(full).monoid
+    stops = [stop(run, limit) for limit in range(1, full.used + 1)]
+    monkeypatch.setattr(monoid, "MULTIPLY_CACHE_CAP", 1)
+    small = Budget()
+    assert run(small).monoid == kept
+    assert small.used == full.used
+    assert [stop(run, limit) for limit in range(1, full.used + 1)] == stops
 
 
 def test_pairing_image_cap(monkeypatch):

@@ -134,6 +134,36 @@ def test_factor_found_and_missing(capsys):
     assert "no s-bounded factorization" in out
 
 
+def test_factor_reads_a_quotient_from_a_file(tmp_path, capsys):
+    # the codomain is matched as a monoid: first_proj shares its carrier
+    # with cutoff1, whose letter map a parsed monoid cannot give
+    m = builder("first_proj")
+    path = tmp_path / "q.nom"
+    path.write_text(serialize({"M": m, "e": identity_morphism(m)}))
+    code, out = run(capsys, "factor", str(path))
+    assert code == 0
+    assert out.splitlines() == ["factorization found: a -> orbit 1(a)"]
+
+
+def test_factor_refuses_a_codomain_outside_the_catalog(tmp_path, capsys):
+    # 1 + A + 0 with a.b = a: no catalog monoid, so no letter map to factor
+    carrier = OrbitFiniteSet([OrbitDescriptor(0), OrbitDescriptor(1), OrbitDescriptor(0)])
+    unit, zero = carrier.element(0, ()), carrier.element(2, ())
+
+    def mult(x, y):
+        if x == unit or y == zero:
+            return y
+        return x
+
+    m = monoid_from_concrete(carrier, unit, mult)
+    assert validate_monoid(m).ok
+    path = tmp_path / "q.nom"
+    path.write_text(serialize({"M": m, "e": identity_morphism(m)}))
+    code, out = run(capsys, "factor", str(path))
+    assert code == 2
+    assert "no catalog monoid" in out
+
+
 def test_join_failure_witness(capsys):
     code, out = run(capsys, "join", "first_proj", "last_proj")
     assert code == 1

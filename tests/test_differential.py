@@ -1,5 +1,6 @@
 """Fast paths against the brute-force oracles in ``reference``."""
 
+import copy
 import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from nommon import bounds, sets
+from nommon import bounds, language, sets
 from nommon.bounds import (
     SupportBound,
     endpoints_bound,
+    eq_msr_predicate,
     first_letter_bound,
     is_s_bounded,
     join,
@@ -66,6 +68,7 @@ from nommon.sets import (
     orbit_reps,
     orbit_tuples,
     pair_pattern,
+    pair_s_orbit_key,
     product_set,
     s_orbit_key,
     s_orbit_reps,
@@ -1335,15 +1338,23 @@ def multiply_cases(draw, tables, in_orbit=st.booleans()):
     return m, x, y
 
 
+def product_state(product):
+    """The product's attributes, each dict or list among them copied, so
+    that a write into one shows."""
+    return {k: copy.copy(v) for k, v in vars(product).items()}
+
+
 def check_multiply(m, x, y):
     """A miss of x . y gives the table's value on the pair's product
-    element, and pairs nothing into the product's memo."""
+    element, and neither the miss nor the pairing writes into the
+    product."""
     # a monoid of its own starts with an empty cache, so x . y misses
     fresh = NominalMonoid(m.carrier, m.unit, m.mult, m.product)
-    pairs = m.product._pair_cache.copy()
+    before = product_state(m.product)
     got = fresh.multiply(x, y)
-    assert m.product._pair_cache == pairs
+    assert product_state(m.product) == before
     assert got == reference.multiply_via_pair(fresh, x, y)
+    assert product_state(m.product) == before
     assert fresh.multiply(x, y) is got
 
 
@@ -1403,3 +1414,110 @@ def test_text_writes_the_least_reading_of_a_posmap():
     text = serialize({"M": swapped})
     assert text == reference.serialize_monoid("M", swapped) == serialize({"M": m})
     assert parse(text)["M"] == m
+
+
+# --- product-orbit keys: one decoder, edge keys and bound checks ----------
+
+
+@lru_cache(maxsize=None)
+def carrier_product(i, j):
+    """The product of CARRIERS[i] and CARRIERS[j], held for the session."""
+    return product_set(CARRIERS[i], CARRIERS[j])
+
+
+# half the draws take SYMMETRIC, the carrier with position groups
+CARRIER_INDICES = st.just(len(CARRIERS) - 1) | st.integers(0, len(CARRIERS) - 1)
+
+
+@st.composite
+def named_orbits(draw):
+    """(product, orbit, atoms): a product of two CARRIERS, one of its
+    orbits and distinct atoms naming its labels."""
+    prod = carrier_product(draw(CARRIER_INDICES), draw(CARRIER_INDICES))
+    p = draw(st.integers(0, len(prod.patterns) - 1))
+    return prod, p, tuple(draw(st.permutations(range(10)))[: prod.set.orbits[p].dim])
+
+
+@settings(max_examples=400, **DETERMINISTIC)
+@given(named_orbits())
+def test_components_decode_a_key_as_the_hand_decoder_does(case):
+    # the atoms need not be the element's canonical tuple: a reading of
+    # the orbit's group names the same pair
+    prod, p, atoms = case
+    e = prod.set.element(p, atoms)
+    assert prod.components(p, atoms) == reference.unpair(prod, e) == prod.unpair(e)
+
+
+def test_reference_pairs_are_the_components_on_the_labels():
+    for i, j in product(range(len(CARRIERS)), repeat=2):
+        prod = carrier_product(i, j)
+        pairs = [prod.components(p, range(o.dim)) for p, o in enumerate(prod.set.orbits)]
+        assert pairs == reference.reference_pairs(prod)
+
+
+@st.composite
+def edge_pairs(draw):
+    """(square, x, y, S): the square of one of CARRIERS, two of its
+    elements over the atoms 0..5, and S of up to three atoms of 0..7."""
+    i = draw(CARRIER_INDICES)
+    x, y = (draw(elements(CARRIERS[i])) for _ in range(2))
+    return carrier_product(i, i), x, y, frozenset(draw(st.sets(st.integers(0, 7), max_size=3)))
+
+
+@settings(max_examples=400, **DETERMINISTIC)
+@given(edge_pairs())
+def test_edge_keys_off_the_located_atoms_match_the_pair_path(case):
+    square, x, y, s = case
+    assert pair_s_orbit_key(square, x, y, s) == reference.edge_key(square, x, y, s)
+
+
+@settings(max_examples=30, **DETERMINISTIC)
+@given(st.data())
+def test_syntactic_congruence_keys_edges_as_the_pair_path_does(data):
+    m = data.draw(st.sampled_from(SYNTACTIC_MONOIDS + POSITION_GROUP_MONOIDS))
+    support = data.draw(st.sets(st.integers(0, 2), max_size=2))
+    xs = data.draw(st.lists(elements(m.carrier, atoms=range(4)), max_size=3))
+    p = FsSubset.from_elements(m.carrier, support, xs)
+    fast, slow = Budget(), Budget()
+    cong = syntactic_congruence(m, p, budget=fast)
+    with mock.patch.object(language, "pair_s_orbit_key", reference.edge_key):
+        old = syntactic_congruence(m, p, budget=slow)
+    assert (cong.pairs, fast.used) == (old.pairs, slow.used)
+
+
+def check_bound_checks(h, q):
+    """is_s_bounded against supp q(w), and eq_msr_predicate on h's
+    monoid, agree with the paths over unpaired orbit representatives,
+    witness and ticks included."""
+    s = SupportBound.via_morphism(q)
+    fast, slow = Budget(), Budget()
+    rep = is_s_bounded(h, s, budget=fast)
+    old = reference.is_s_bounded_via_morphism(h, s, budget=slow)
+    assert (rep.ok, rep.witness, fast.used) == (old.ok, old.witness, slow.used)
+    assert eq_msr_predicate(h.monoid) == reference.eq_msr_predicate(h.monoid)
+    return rep.ok
+
+
+def test_bound_checks_read_the_keys_on_catalog_letter_maps_and_joins():
+    outcomes = set()
+    for left in LETTER_MAPS:
+        h = letters_map(left)
+        for q in [letters_map(right) for right in LETTER_MAPS] + [
+            first_letter_bound().data,
+            endpoints_bound().data,
+        ]:
+            outcomes.add(check_bound_checks(h, q))
+            outcomes.add(check_bound_checks(join(h, q).genmap, q))
+    # both branches ran: bounded pairs and witnesses
+    assert outcomes == {True, False}
+    msr = {eq_msr_predicate(letters_map(name).monoid) for name in LETTER_MAPS}
+    assert msr == {True, False}
+
+
+@settings(max_examples=60, **DETERMINISTIC)
+@given(map_pairs(), st.booleans())
+def test_bound_checks_read_the_keys_on_position_groups(maps, joined):
+    h1, h2 = maps
+    h = join(h1, h2).genmap if joined else h1
+    for q in maps:
+        check_bound_checks(h, q)

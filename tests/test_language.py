@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from nommon.language import (
 from nommon.fssets import FsSubset
 from nommon.fssets import member as fs_member
 from nommon.monoid import (
+    MULTIPLY_CACHE_CAP,
     find_isomorphism,
     generating_orbits,
     product_monoid,
@@ -93,6 +95,23 @@ def test_l0_membership_against_scan_oracle():
     l0 = catalog_language("l0")
     for t in words_upto(5):
         assert member(l0, Word.of_atoms(t)) == scan_l0(t)
+
+
+def test_membership_memory_stays_flat_over_fresh_words():
+    # each word of fresh atoms misses the multiply memo; a memo without a
+    # cap held about 46 MB after these 50k words
+    l0 = catalog_language("l0")
+    rng = random.Random(5)
+    tracemalloc.start()
+    try:
+        for _ in range(50_000):
+            t = tuple(rng.randrange(10**6) for _ in range(rng.randint(1, 5)))
+            assert member(l0, Word.of_atoms(t)) == scan_l0(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(l0.genmap.monoid._cache) <= MULTIPLY_CACHE_CAP
 
 
 def test_l2_membership():

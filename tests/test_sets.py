@@ -65,6 +65,16 @@ def test_element_rejects_bad_tuples():
         Element(strong_set([2]), 0, [4, 4])
 
 
+@pytest.mark.parametrize("index", [-1, -3, 3, 4])
+def test_element_refuses_an_orbit_index_out_of_range(index):
+    # -1 would read the last orbit from the end, and 3 is one past it
+    owner = strong_set([0, 1, 0])
+    with pytest.raises(InvalidInput, match=f"orbit index {index} out of range"):
+        Element(owner, index, ())
+    with pytest.raises(InvalidInput, match=f"orbit index {index} out of range"):
+        owner.element(index, ())
+
+
 def test_action_is_group_action():
     p = unordered_pairs()
     x = Element(p, 0, [0, 5])
