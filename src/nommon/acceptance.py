@@ -60,7 +60,6 @@ from nommon.sets import (
     act,
     atoms_set,
     elements_with_support,
-    map_from_concrete,
     orbit_reps,
     product_set,
     s_orbit_key,

@@ -10,7 +10,6 @@ from nommon.errors import InvalidInput
 from nommon.monoid import (
     GeneratorMap,
     MonoidMorphism,
-    NominalMonoid,
     monoid_from_concrete,
 )
 from nommon.sets import (
@@ -255,21 +254,16 @@ def letters_map(name, m=None):
 
 
 def catalog_quotient(name):
-    """Standard quotient morphisms: 'compare' and 'no-s-quot'."""
-    if name == "compare":
-        dom = barred()
-        cod = zero_adjoined()
-        zero = Element(cod.carrier, 2, ())
-        # identity on 1 + A, constant 0 on the barred half
-        targets = {0: lambda x: cod.unit, 1: lambda x: Element(cod.carrier, 1, x.tuple),
-                   2: lambda x: zero, 3: lambda x: zero}
-    elif name == "no-s-quot":
-        dom = pair_zero()
-        cod = zero_adjoined()
-        zero = Element(cod.carrier, 2, ())
-        targets = {0: lambda x: cod.unit, 1: lambda x: Element(cod.carrier, 1, x.tuple),
-                   2: lambda x: zero, 3: lambda x: zero}
-    else:
+    """Standard quotient morphisms onto zero_adjoined, from barred
+    ('compare') or pair_zero ('no-s-quot'): each is the identity on
+    1 + A and constant 0 on the other orbits."""
+    domains = {"compare": barred, "no-s-quot": pair_zero}
+    if name not in domains:
         raise InvalidInput(f"unknown catalog quotient {name!r}")
+    dom = domains[name]()
+    cod = zero_adjoined()
+    zero = Element(cod.carrier, 2, ())
+    targets = {0: lambda x: cod.unit, 1: lambda x: Element(cod.carrier, 1, x.tuple),
+               2: lambda x: zero, 3: lambda x: zero}
     emap = map_from_concrete(dom.carrier, cod.carrier, lambda x: targets[x.orbit](x))
     return MonoidMorphism(dom, cod, emap)

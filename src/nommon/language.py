@@ -25,9 +25,9 @@ from nommon.sets import (
     act,
     atoms_set,
     compose_maps,
-    instantiate_s_key,
     map_from_concrete,
     pair_s_orbit_key,
+    s_key_atoms,
     s_orbit_keys,
     s_orbit_reps,
     strong_set,
@@ -140,7 +140,9 @@ def syntactic_congruence(m, p, budget=None):
     Perm_S-invariant for S = supp p, so it is computed on the keys of
     the S-orbits of M x M:
 
-    - a node per key; it starts out removed when p separates its pair;
+    - a node per key, whose pair is decoded off the key's labels
+      (``s_key_atoms``, ``ProductSet.components``) with no product
+      element built; it starts out removed when p separates its pair;
     - the node of (x, y) has edges to the S-orbits of (ux, uy) and
       (xu, yu) for u over the Perm_{S + supp x + supp y}-orbit
       representatives of the ``generating_orbits``, since a permutation
@@ -169,14 +171,15 @@ def syntactic_congruence(m, p, budget=None):
         return m.multiply(x, y)
 
     for key in nodes:
-        e = instantiate_s_key(prod.set, key, s)
-        x, y = prod.unpair(e)
+        orbit, labels = key
+        atoms = s_key_atoms(labels, s)
+        x, y = prod.components(orbit, atoms)
         if x == y:
             continue
         if fs_member(p, x) != fs_member(p, y):
             removed.append(key)
             continue
-        t = s.union(e.tuple)
+        t = s.union(atoms)
         us = contexts.get(t)
         if us is None:
             us = contexts[t] = s_orbit_reps(m.carrier, t, budget=budget, orbits=gens)

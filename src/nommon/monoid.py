@@ -28,6 +28,7 @@ from nommon.sets import (
     min_coset,
     orbit_reps,
     product_set,
+    reference_posmap,
     s_orbit_reps,
 )
 
@@ -106,23 +107,15 @@ def monoid_from_concrete(carrier, unit, mult_value, budget=None):
     ``mult_value`` is evaluated once per product orbit, on its reference
     pair: a key (i, x_labels, j, y_labels) of ``product_set`` names the
     pair (x_labels in orbit i, y_labels in orbit j), whose atoms are the
-    positions 0..d-1, so the result's canonical tuple is its posmap. The
-    result must lie in the carrier and stay inside the pair's atoms
-    (equivariance). The enumeration of carrier x carrier is charged to
-    ``budget``.
+    positions 0..d-1, so the result's canonical tuple is its posmap
+    (``reference_posmap``, which also checks it). The enumeration of
+    carrier x carrier is charged to ``budget``.
     """
     product = product_set(carrier, carrier, budget=budget)
     assignment = []
     for p, desc in enumerate(product.set.orbits):
-        atoms = range(desc.dim)
-        z = mult_value(*product.components(p, atoms))
-        if z.set is not carrier:
-            raise InvalidInput("concrete function left the target set")
-        if not all(a in atoms for a in z.tuple):
-            raise InvalidInput(
-                f"image atoms {z.tuple} escape the argument's support {tuple(atoms)}"
-            )
-        assignment.append(Assignment(z.orbit, z.tuple))
+        z = mult_value(*product.components(p, range(desc.dim)))
+        assignment.append(Assignment(z.orbit, reference_posmap(z, carrier, desc.dim)))
     mult = EquivariantMap(product.set, carrier, assignment)
     return NominalMonoid(carrier, unit, mult, product)
 
@@ -493,17 +486,12 @@ class SubMonoid:
         self.restrict = restrict
 
 
-def _mult_orbit_table(m):
-    """Per product orbit: (left factor orbit, right factor orbit, result orbit)."""
-    return [
-        (i, j, m.mult.assignment[p].orbit)
-        for p, (i, j) in enumerate(m.product.factors)
-    ]
-
-
 def closed_orbit_indices(m, start):
     """Least multiplication-closed orbit set containing start and the unit."""
-    table = _mult_orbit_table(m)
+    # per product orbit: (left factor orbit, right factor orbit, result orbit)
+    table = [
+        (i, j, a.orbit) for (i, j), a in zip(m.product.factors, m.mult.assignment)
+    ]
     closed = set(start) | {m.unit.orbit}
     changed = True
     while changed:
@@ -787,10 +775,7 @@ def enumerate_small_monoids(max_orbits=2, max_dim=1, budget=None):
         carrier = OrbitFiniteSet([OrbitDescriptor(d) for d in dims])
         unit = Element(carrier, dims.index(0), ())
         for prod, mult in _monoid_tables(carrier, unit, budget):
-            try:
-                cand = NominalMonoid(carrier, unit, mult, prod)
-            except InvalidInput:
-                continue
+            cand = NominalMonoid(carrier, unit, mult, prod)
             if not validate_monoid(cand, budget=budget).ok:
                 continue
             if any(find_isomorphism(cand, other, budget=budget) for other in found):

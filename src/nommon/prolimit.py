@@ -10,12 +10,7 @@ explicitly declared scope.
 
 from fractions import Fraction
 
-from nommon.bounds import (
-    enumerate_s_bounded,
-    is_s_bounded,
-    join_s_bounded,
-    msr_closure_suite,
-)
+from nommon.bounds import enumerate_s_bounded, is_s_bounded, join, msr_closure_suite
 from nommon.errors import InvalidInput, ensure_budget
 from nommon.fssets import preimage_subset
 from nommon.monoid import (
@@ -158,15 +153,15 @@ def reiterman_instance_suite(equations, monoids, sigma, s, quotients=(), budget=
 
 class TruncatedStage:
     """A finite stage of the limit: the join of finitely many s-bounded
-    quotients, with projections recovering each of them."""
+    quotients, with projections recovering each of them. The join is
+    s-bounded since each quotient is (the lemma on ``_join_into``)."""
 
-    def __init__(self, alphabet, bound, quotients, join, projections, bound_report):
+    def __init__(self, alphabet, bound, quotients, join, projections):
         self.alphabet = alphabet
         self.bound = bound
         self.quotients = tuple(quotients)
         self.join = join
         self.projections = tuple(projections)
-        self.bound_report = bound_report
 
     @property
     def monoid(self):
@@ -177,15 +172,15 @@ def _require_s_bounded(q, s, budget):
     rep = is_s_bounded(q, s, budget=budget)
     if not rep.ok:
         raise InvalidInput(f"stage quotient is not s-bounded: {rep.witness}")
-    return rep
 
 
 def build_stage(sigma, s, quotients, budget=None):
     """The stage joining the given s-bounded quotients, in order.
 
-    Each quotient is checked against the bound once; the first becomes
-    the stage through its coimage, and each later one is joined in as
-    ``extend_stage`` does, without checking it again.
+    Each quotient is checked against the bound once, and no join is:
+    the first becomes the stage through its coimage, whose values have
+    q's supports, and each later one is joined in as ``extend_stage``
+    does.
     """
     budget = ensure_budget(budget)
     quotients = list(quotients)
@@ -195,10 +190,10 @@ def build_stage(sigma, s, quotients, budget=None):
     for q in quotients:
         if q.sigma != sigma:
             raise InvalidInput("stage quotients must share the alphabet")
-        rep = _require_s_bounded(q, s, budget)
+        _require_s_bounded(q, s, budget)
         if stage is None:
-            join, incl = coimage(q)
-            stage = TruncatedStage(sigma, s, [q], join, [incl], rep)
+            genmap, incl = coimage(q)
+            stage = TruncatedStage(sigma, s, [q], genmap, [incl])
         else:
             stage, _ = _join_into(stage, q, budget)
     return stage
@@ -206,24 +201,26 @@ def build_stage(sigma, s, quotients, budget=None):
 
 def extend_stage(stage, q, budget=None):
     """Join one more s-bounded quotient in; also returns the refinement
-    morphism from the new stage monoid onto the old one."""
+    morphism from the new stage monoid onto the old one. Only ``q`` is
+    checked against the bound."""
     budget = ensure_budget(budget)
     _require_s_bounded(q, stage.bound, budget)
     return _join_into(stage, q, budget)
 
 
 def _join_into(stage, q, budget):
-    """``extend_stage`` for a quotient already checked against the bound."""
-    jn = join_s_bounded(stage.join, q, stage.bound, budget=budget)
+    """``extend_stage`` for a quotient already checked against the bound.
+
+    *Lemma.* supp (h1(w), h2(w)) = supp h1(w) + supp h2(w) lies within
+    s(w) exactly when both do, so the join of h1 and h2 is s-bounded
+    exactly when both are, under a constant or a via-morphism bound.
+    The stage's join and ``q`` are, so the new join is not checked.
+    """
+    jn = join(stage.join, q, budget)
     projections = [compose_morphisms(p, jn.left) for p in stage.projections]
     projections.append(jn.right)
     new = TruncatedStage(
-        stage.alphabet,
-        stage.bound,
-        list(stage.quotients) + [q],
-        jn.genmap,
-        projections,
-        jn.bound_report,
+        stage.alphabet, stage.bound, list(stage.quotients) + [q], jn.genmap, projections
     )
     return new, jn.left
 

@@ -283,10 +283,9 @@ def pair_s_orbit_key(product, x, y, support):
     return orbit, first_occurrence_labels(atoms, product.set.orbits[orbit].group, fixed)[0]
 
 
-def instantiate_s_key(owner, key, support):
-    """Concrete canonical representative for an S-orbit key: label l
-    stands for (the atoms of S in order, then the first fresh atoms)[l]."""
-    orbit_index, labels = key
+def s_key_atoms(labels, support):
+    """The atoms an S-orbit key's labels stand for: label l is (the
+    atoms of S in order, then the first fresh atoms)[l]."""
     atoms = sorted(support)
     fresh = fresh_stream(atoms)
     out = []
@@ -295,7 +294,14 @@ def instantiate_s_key(owner, key, support):
         if label == len(atoms):
             atoms.append(next(fresh))
         out.append(atoms[label])
-    return Element(owner, orbit_index, out)
+    return out
+
+
+def instantiate_s_key(owner, key, support):
+    """Concrete canonical representative for an S-orbit key, on the
+    atoms its labels stand for (``s_key_atoms``)."""
+    orbit_index, labels = key
+    return Element(owner, orbit_index, s_key_atoms(labels, support))
 
 
 @lru_cache(maxsize=64)
@@ -423,8 +429,23 @@ def apply_map(f, x):
     return Element(f.target, a.orbit, [t[p] for p in a.posmap])
 
 
+def reference_posmap(z, target, dim):
+    """The posmap of ``z``, a concrete function's value on a reference
+    argument (atoms 0..dim-1): its tuple, once ``z`` is checked to lie
+    in ``target`` and within those atoms."""
+    if z.set is not target:
+        raise InvalidInput("concrete function left the target set")
+    atoms = range(dim)
+    if not all(a in atoms for a in z.tuple):
+        raise InvalidInput(
+            f"image atoms {z.tuple} escape the argument's support {tuple(atoms)}"
+        )
+    return z.tuple
+
+
 def map_from_concrete(source, target, fn):
-    """EquivariantMap obtained by evaluating ``fn`` on each orbit rep.
+    """EquivariantMap obtained by evaluating ``fn`` on each orbit's
+    reference element (``reference_posmap``).
 
     ``fn`` must be the restriction of an equivariant function; it may
     only return elements whose atoms come from the argument's tuple.
@@ -432,18 +453,8 @@ def map_from_concrete(source, target, fn):
     """
     assignment = []
     for i, desc in enumerate(source.orbits):
-        x = Element(source, i, range(desc.dim))
-        z = fn(x)
-        if z.set != target:
-            raise InvalidInput("concrete function left the target set")
-        pos_of = {a: p for p, a in enumerate(x.tuple)}
-        try:
-            posmap = tuple(pos_of[a] for a in z.tuple)
-        except KeyError:
-            raise InvalidInput(
-                f"image atoms {z.tuple} escape the argument's support {x.tuple}"
-            ) from None
-        assignment.append(Assignment(z.orbit, posmap))
+        z = fn(Element(source, i, range(desc.dim)))
+        assignment.append(Assignment(z.orbit, reference_posmap(z, target, desc.dim)))
     return EquivariantMap(source, target, assignment)
 
 
@@ -644,10 +655,6 @@ class ProductSet:
         """The component pair of orbit ``orbit`` whose label l is the
         atom ``atoms[l]``; on atoms 0..d-1 it is the reference pair."""
         return key_components(self.left, self.right, self.patterns[orbit], atoms)
-
-    def unpair(self, e):
-        """The concrete component pair of a product element."""
-        return self.components(e.orbit, e.tuple)
 
 
 def product_set(x_set, y_set, budget=None):

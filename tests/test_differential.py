@@ -70,6 +70,7 @@ from nommon.sets import (
     pair_pattern,
     pair_s_orbit_key,
     product_set,
+    s_key_atoms,
     s_orbit_key,
     s_orbit_reps,
     strong_set,
@@ -653,7 +654,10 @@ def test_multiply_pair_and_unpair_commute_with_atom_permutations(m, data):
     px, py = act(pi, x), act(pi, y)
     assert act(pi, m.multiply(x, y)) == m.multiply(px, py)
     assert act(pi, m.product.pair(x, y)) == m.product.pair(px, py)
-    assert m.product.unpair(act(pi, e)) == tuple(act(pi, c) for c in m.product.unpair(e))
+    pe = act(pi, e)
+    assert m.product.components(pe.orbit, pe.tuple) == tuple(
+        act(pi, c) for c in m.product.components(e.orbit, e.tuple)
+    )
 
 
 # monoids with a Z/2 orbit, and catalog monoids; bound at most 2, since
@@ -1027,6 +1031,22 @@ def test_stages_serialize_as_over_the_full_products():
             check_text(stage.monoid)
 
 
+@pytest.mark.parametrize("bound", ["endpoints", "first-letter"])
+def test_every_stage_join_is_s_bounded(bound):
+    # the oracle for the joins build_stage no longer checks: a stage exists
+    # exactly when its quotients are s-bounded, and then so is its join
+    sigma, s = atoms_set(), BOUNDS[bound]()
+    for n in range(1, len(LANGUAGES) + 1):
+        for names in combinations(LANGUAGES, n):
+            qs = [catalog_language(x).genmap for x in names]
+            if not all(is_s_bounded(q, s).ok for q in qs):
+                with pytest.raises(InvalidInput):
+                    build_stage(sigma, s, qs)
+                continue
+            stage = build_stage(sigma, s, qs)
+            assert is_s_bounded(stage.join, stage.bound).ok
+
+
 # --- properties of join ---------------------------------------------------
 
 
@@ -1060,6 +1080,38 @@ def map_pairs(draw):
     return draw(st.sampled_from(maps)), draw(st.sampled_from(maps))
 
 
+# BOUNDS' constant bound is the empty set; the lemma also runs on {0}
+LEMMA_BOUNDS = {**BOUNDS, "constant:0": lambda: SupportBound.constant((0,))}
+
+
+def check_join_bound_lemma(h1, h2, s):
+    """supp (h1(w), h2(w)) = supp h1(w) + supp h2(w), so the join is
+    s-bounded exactly when both maps are."""
+    both = is_s_bounded(h1, s).ok and is_s_bounded(h2, s).ok
+    assert join_s_bounded(h1, h2, s).bound_report.ok == both
+
+
+@pytest.mark.parametrize("bound", sorted(LEMMA_BOUNDS))
+def test_a_join_is_s_bounded_iff_both_maps_are_on_catalog_letter_maps(bound):
+    s = LEMMA_BOUNDS[bound]()
+    for left in LETTER_MAPS:
+        for right in LETTER_MAPS:
+            check_join_bound_lemma(letters_map(left), letters_map(right), s)
+
+
+@settings(max_examples=60, **DETERMINISTIC)
+@given(st.data())
+def test_a_join_is_s_bounded_iff_both_maps_are_on_position_groups(data):
+    maps = symmetric_maps(data.draw(st.sampled_from(sorted(SYMMETRIC_ALPHABETS))))
+    h1, h2, h0 = (data.draw(st.sampled_from(maps)) for _ in range(3))
+    s = data.draw(
+        st.sampled_from(
+            [SupportBound.via_morphism(h0), SupportBound.constant(()), SupportBound.constant((0,))]
+        )
+    )
+    check_join_bound_lemma(h1, h2, s)
+
+
 @settings(max_examples=40, **DETERMINISTIC)
 @given(map_pairs())
 def test_join_with_itself_is_the_coimage(maps):
@@ -1082,8 +1134,9 @@ def test_join_evaluates_to_the_pair_of_evaluations(maps):
     assert jn.bound_report is None
     for w in short_words(h1.sigma):
         value = jn.genmap.eval_word(w)
-        assert jn.pairs.unpair(value) == (h1.eval_word(w), h2.eval_word(w))
-        assert (jn.left(value), jn.right(value)) == (h1.eval_word(w), h2.eval_word(w))
+        pair = (h1.eval_word(w), h2.eval_word(w))
+        assert jn.pairs.components(value.orbit, value.tuple) == pair
+        assert (jn.left(value), jn.right(value)) == pair
 
 
 @settings(max_examples=40, **DETERMINISTIC)
@@ -1445,7 +1498,7 @@ def test_components_decode_a_key_as_the_hand_decoder_does(case):
     # the orbit's group names the same pair
     prod, p, atoms = case
     e = prod.set.element(p, atoms)
-    assert prod.components(p, atoms) == reference.unpair(prod, e) == prod.unpair(e)
+    assert prod.components(p, atoms) == reference.unpair(prod, e) == prod.components(p, e.tuple)
 
 
 def test_reference_pairs_are_the_components_on_the_labels():
@@ -1469,6 +1522,20 @@ def edge_pairs(draw):
 def test_edge_keys_off_the_located_atoms_match_the_pair_path(case):
     square, x, y, s = case
     assert pair_s_orbit_key(square, x, y, s) == reference.edge_key(square, x, y, s)
+
+
+@settings(max_examples=400, **DETERMINISTIC)
+@given(edge_pairs())
+def test_syntactic_nodes_decode_off_their_keys_as_their_instances_unpair(case):
+    # syntactic_congruence reads a node's pair off its key's labels; it is
+    # the pair the key's canonical instance unpairs to, since canonicalizing
+    # under the orbit's stabilizer leaves the pair fixed
+    square, x, y, s = case
+    orbit, labels = key = pair_s_orbit_key(square, x, y, s)
+    atoms = s_key_atoms(labels, s)
+    e = instantiate_s_key(square.set, key, s)
+    assert square.components(orbit, atoms) == reference.unpair(square, e)
+    assert s.union(atoms) == s.union(e.tuple)
 
 
 @settings(max_examples=30, **DETERMINISTIC)

@@ -304,7 +304,7 @@ def test_syntactic_budget_contract(monkeypatch):
     gens = generating_orbits(m)
     edges = 0
     for e in orbit_reps(m.product.set):
-        x, y = m.product.unpair(e)
+        x, y = m.product.components(e.orbit, e.tuple)
         if x != y and fs_member(p, x) == fs_member(p, y):
             edges += sum(u.orbit in gens for u in reps(m.carrier, e.tuple))
     assert events.count("multiply") == 4 * edges

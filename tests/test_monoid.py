@@ -368,7 +368,9 @@ def congruence(m, same_class):
     """The equivariant congruence whose classes ``same_class`` tells apart."""
     return Congruence(
         m,
-        FsSubset.from_predicate(m.product.set, (), lambda e: same_class(*m.product.unpair(e))),
+        FsSubset.from_predicate(
+            m.product.set, (), lambda e: same_class(*m.product.components(e.orbit, e.tuple))
+        ),
     )
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from nommon import prolimit
-from nommon.bounds import endpoints_bound, first_letter_bound
+from nommon import bounds, prolimit
+from nommon.bounds import endpoints_bound, first_letter_bound, is_s_bounded
 from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import InvalidInput
 from nommon.fssets import FsSubset, fs_boolean
@@ -171,7 +171,7 @@ def test_two_quotient_stage_projects_to_endpoints():
 def test_stage_compatible_family():
     qs = stage_quotients()
     stage = build_stage(atoms_set(), endpoints_bound(), qs)
-    assert stage.bound_report.ok
+    assert is_s_bounded(stage.join, stage.bound).ok
     for t in words_upto(3):
         w = Word.of_atoms(t)
         x = eta(stage, w)
@@ -190,15 +190,17 @@ def test_extend_stage_refines():
 
 def test_stage_checks_each_quotient_once(monkeypatch):
     # build_stage checks every quotient before joining it in, and
-    # extend_stage checks its own; the joins re-verify through bounds
+    # extend_stage checks its own; a join of s-bounded maps is s-bounded,
+    # so no join is checked again, in prolimit or through bounds
     checked = []
-    check = prolimit.is_s_bounded
+    check = bounds.is_s_bounded
 
     def counted(q, s, budget=None):
         checked.append(q)
         return check(q, s, budget=budget)
 
     monkeypatch.setattr(prolimit, "is_s_bounded", counted)
+    monkeypatch.setattr(bounds, "is_s_bounded", counted)
     qs = stage_quotients()
     stage = build_stage(atoms_set(), endpoints_bound(), qs)
     assert checked == qs

@@ -23,6 +23,7 @@ from nommon.sets import (
     generate_group,
     identity_map,
     instantiate_s_key,
+    map_from_concrete,
     orbit_reps,
     product_set,
     s_orbit_key,
@@ -187,6 +188,19 @@ def test_swap_components_map():
     assert sw(Element(a2, 0, [4, 9])) == Element(a2, 0, [9, 4])
 
 
+def test_map_from_concrete_rejects_a_value_in_another_set():
+    sigma = atoms_set()
+    with pytest.raises(InvalidInput, match="left the target set"):
+        map_from_concrete(sigma, strong_set([0, 1]), lambda a: Element(sigma, 0, a.tuple))
+
+
+def test_map_from_concrete_rejects_atoms_outside_the_argument():
+    # one past the reference letter's atom 0
+    sigma = atoms_set()
+    with pytest.raises(InvalidInput, match=r"image atoms \(1,\) escape .* \(0,\)"):
+        map_from_concrete(sigma, sigma, lambda a: Element(sigma, 0, (a.tuple[0] + 1,)))
+
+
 def test_ill_defined_map_detected():
     # projecting an unordered pair to its first coordinate is not well defined
     p = unordered_pairs()
@@ -265,7 +279,7 @@ def test_pair_unpair_roundtrip():
         x = Element(strong_set([2]), 0, rng.sample(range(12), 2))
         y = Element(unordered_pairs(), 0, rng.sample(range(12), 2))
         e = prod.pair(x, y)
-        assert prod.unpair(e) == (x, y)
+        assert prod.components(e.orbit, e.tuple) == (x, y)
         assert prod.proj_left(e) == x
         assert prod.proj_right(e) == y
 
