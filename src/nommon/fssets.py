@@ -17,22 +17,23 @@ The operations work on label tuples alone and build no elements:
 - swap: a transposition of two atoms of S exchanges their labels;
 - full keys over |S| atoms: ``sets.s_orbit_keys``.
 
-Every relabeled tuple is re-minimized over its orbit's position group
-by ``sets.first_occurrence_labels``. Binary boolean operations refine
-both operands to the union of their supports, and the complement is
-the full key set minus the held keys. Normalization refines once to
-S + {b} for a fresh b, keeps the atoms a whose swap with b moves the
-subset, and coarsens to them. ``hull`` refines to S + supp U and
-coarsens to S. Each key operation ticks the budget once.
+Every relabeled tuple is keyed by ``sets.key_labels``. Refinement and
+the swap keep fresh labels in order, so over a trivial position group
+their tuples are keys already (the one-reading lemma of
+``sets.first_occurrence_labels``); coarsening relabels. Binary boolean
+operations refine both operands to the union of their supports, and
+the complement is the full key set minus the held keys. Normalization
+refines once to S + {b} for a fresh b, keeps the atoms a whose swap
+with b moves the subset, and coarsens to them. ``hull`` refines to
+S + supp U and coarsens to S. Each key operation ticks the budget once.
 """
 
 from nommon.errors import InvalidInput, ensure_budget
 from nommon.perm import fresh_stream
 from nommon.sets import (
-    _identity_labels,
     act,
-    first_occurrence_labels,
     instantiate_s_key,
+    key_labels,
     s_orbit_key,
     s_orbit_keys,
 )
@@ -53,11 +54,12 @@ class FsSubset:
         self._hash = hash((self.carrier, self.support, self.keys))
 
     @staticmethod
-    def from_elements(carrier, support, elements):
-        """Subset generated by the S-orbits of the given elements."""
+    def from_elements(carrier, support, elements, budget=None):
+        """Subset generated by the S-orbits of the given elements of the
+        carrier; its normalization is charged to ``budget``."""
         support = frozenset(support)
-        keys = {s_orbit_key(x, support) for x in elements}
-        return FsSubset(carrier, support, keys)
+        keys = {s_orbit_key(_own(carrier, x), support) for x in elements}
+        return FsSubset(carrier, support, keys, budget=budget)
 
     @staticmethod
     def from_predicate(carrier, support, pred, budget=None):
@@ -76,9 +78,9 @@ class FsSubset:
         return FsSubset(carrier, frozenset(), frozenset(), _normalized=True)
 
     @staticmethod
-    def singleton(x):
+    def singleton(x, budget=None):
         """The singleton {x}; its support is supp(x)."""
-        return FsSubset.from_elements(x.set, frozenset(x.tuple), [x])
+        return FsSubset.from_elements(x.set, frozenset(x.tuple), [x], budget)
 
     def reps(self):
         """Canonical representatives, one per contained S-orbit."""
@@ -102,18 +104,16 @@ class FsSubset:
         return f"FsSubset(|S|={len(self.support)}, reps={len(self.keys)})"
 
 
-def member(subset, x):
+def _own(carrier, x):
+    """x, once checked to be an element of the carrier."""
     # carriers are interned, so an equal carrier is this very object
-    if x.set is not subset.carrier:
+    if x.set is not carrier:
         raise InvalidInput("element does not belong to the subset's carrier")
-    return s_orbit_key(x, subset.support) in subset.keys
+    return x
 
 
-def _minimize(carrier, orbit, t, n):
-    """The key over n support atoms of the tuple t, whose entries below
-    n are support labels and all others distinct fresh atoms."""
-    group = carrier.orbits[orbit].group
-    return (orbit, first_occurrence_labels(t, group, _identity_labels(n))[0])
+def member(subset, x):
+    return s_orbit_key(_own(subset.carrier, x), subset.support) in subset.keys
 
 
 def _fresh_images(m, new, n):
@@ -133,7 +133,9 @@ def _fresh_images(m, new, n):
 
 def _refine(carrier, keys, support, larger, budget):
     """The S'-orbit keys of the union of the S-orbits with the given
-    keys, for S' >= S; one tick per S'-orbit of each S-orbit."""
+    keys, for S' >= S; one tick per S'-orbit of each S-orbit. Old labels
+    go to their ranks and ``_fresh_images`` numbers the kept fresh ones
+    in order, so over a trivial group a refined tuple is its own key."""
     if len(larger) == len(support):
         return set(keys)
     big = sorted(larger)
@@ -144,13 +146,15 @@ def _refine(carrier, keys, support, larger, budget):
     images = {}
     out = set()
     for orbit, labels in keys:
+        group = carrier.orbits[orbit].group
+        trivial = len(group) == 1
         m = sum(1 for l in labels if l >= k)
         if m not in images:
             images[m] = _fresh_images(m, new, n)
         for img in images[m]:
             budget.tick()
-            t = tuple(old[l] if l < k else img[l - k] for l in labels)
-            out.add(_minimize(carrier, orbit, t, n))
+            t = tuple([old[l] if l < k else img[l - k] for l in labels])
+            out.add((orbit, key_labels(t, group, n, trivial)))
     return out
 
 
@@ -166,7 +170,7 @@ def _coarsen(carrier, keys, support, smaller, budget):
     for orbit, labels in keys:
         budget.tick()
         t = tuple(img[l] if l < n else c + l for l in labels)
-        out.add(_minimize(carrier, orbit, t, c))
+        out.add((orbit, key_labels(t, carrier.orbits[orbit].group, c, False)))
     return out
 
 
@@ -178,7 +182,9 @@ def _normalize(carrier, support, keys, budget=None):
     intersection of all supports. So one refinement to S + {b} decides
     every atom: the least support is the set of atoms a for which
     swapping the labels of a and b sends some held key outside the
-    held ones (one tick per key tried).
+    held ones (one tick per key tried). The swap leaves fresh labels in
+    order, so over a trivial group a swapped tuple is its own key, and
+    under any group the swap fixes a key holding neither label.
     """
     if not support:
         return support, keys
@@ -190,11 +196,17 @@ def _normalize(carrier, support, keys, budget=None):
     n = len(larger)
 
     def moved(a):
-        swap = {rank[a]: rank[b], rank[b]: rank[a]}
+        ra, rb = rank[a], rank[b]
+        swap = {ra: rb, rb: ra}
         for orbit, labels in expanded:
             budget.tick()
-            t = tuple(swap.get(l, l) for l in labels)
-            if _minimize(carrier, orbit, t, n) not in expanded:
+            group = carrier.orbits[orbit].group
+            if ra in labels or rb in labels:
+                t = tuple([swap.get(l, l) for l in labels])
+                is_key = len(group) == 1
+            else:
+                t, is_key = labels, True
+            if (orbit, key_labels(t, group, n, is_key)) not in expanded:
                 return True
         return False
 
@@ -235,11 +247,11 @@ def fs_boolean(op, u, v=None, budget=None):
     raise InvalidInput(f"unknown boolean operation {op!r}")
 
 
-def apply_perm_subset(pi, u):
+def apply_perm_subset(pi, u, budget=None):
     """pi . U, with supp(pi . U) = pi[supp U]."""
     support = frozenset(pi(a) for a in u.support)
     elems = [act(pi, r) for r in u.reps()]
-    return FsSubset.from_elements(u.carrier, support, elems)
+    return FsSubset.from_elements(u.carrier, support, elems, budget)
 
 
 def hull(support, u, budget=None):
@@ -274,6 +286,7 @@ def powerset_atoms(carrier, pool, budget=None):
     """
     from nommon.sets import elements_with_support
 
+    budget = ensure_budget(budget)
     elems = elements_with_support(carrier, pool, budget=budget)
-    atoms = [FsSubset.singleton(x) for x in elems]
+    atoms = [FsSubset.singleton(x, budget) for x in elems]
     return atoms, list(zip(elems, atoms))

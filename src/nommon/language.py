@@ -201,7 +201,7 @@ def syntactic_monoid(m, p, budget=None):
     cong = syntactic_congruence(m, p, budget=budget)
     q = quotient(m, cong, budget=budget)
     pred = FsSubset.from_elements(
-        q.monoid.carrier, p.support, [q.projection(r) for r in p.reps()]
+        q.monoid.carrier, p.support, [q.projection(r) for r in p.reps()], budget
     )
     return SyntacticResult(q.monoid, q.projection, pred, cong)
 
@@ -236,7 +236,8 @@ def catalog_language(name, budget=None):
     The l2 recognizers join the endpoints evaluation with a length
     counter 0 / 1 / 2-or-more, since the endpoints alone cannot tell a
     from a...a: 4 orbits, accepting the value of the word a a. The
-    joins and the counter's table are charged to ``budget``.
+    joins, the counter's table and the predicate's normalization are
+    charged to ``budget``.
     """
     from nommon.catalog import builder, letters_map
 
@@ -245,13 +246,13 @@ def catalog_language(name, budget=None):
         m = builder("l0_recognizer")
         gm = letters_map("l0_recognizer", m)
         flagged = [m.encode_state(0, 0, 1), m.encode_state(0, 1, 1)]
-        return Language(gm, FsSubset.from_elements(m.carrier, (), flagged))
+        return Language(gm, FsSubset.from_elements(m.carrier, (), flagged, budget))
     if name in ("first-a", "last-a"):
         mon = "first_proj" if name == "first-a" else "last_proj"
         m = builder(mon)
         gm = letters_map(mon, m)
         a = Element(m.carrier, 1, [0])
-        return Language(gm, FsSubset.singleton(a))
+        return Language(gm, FsSubset.singleton(a, budget))
     if name in ("l2-fixed", "l2-any"):
         counter = strong_set([0, 0, 0])
         length = monoid_from_concrete(
@@ -266,8 +267,8 @@ def catalog_language(name, budget=None):
         gm = join(ends, GeneratorMap(sigma, length, lengths), budget).genmap
         aa_long = gm.eval_word(Word.of_atoms([0, 0]).letters)
         if name == "l2-fixed":
-            pred = FsSubset.singleton(aa_long)
+            pred = FsSubset.singleton(aa_long, budget)
         else:
-            pred = FsSubset.from_elements(gm.monoid.carrier, (), [aa_long])
+            pred = FsSubset.from_elements(gm.monoid.carrier, (), [aa_long], budget)
         return Language(gm, pred)
     raise InvalidInput(f"unknown catalog language {name!r}")

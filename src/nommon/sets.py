@@ -231,12 +231,25 @@ def elements_with_support(owner, support, budget=None):
 def first_occurrence_labels(t, perms, fixed):
     """Least labeling of the tuple t over its readings.
 
-    For each reading p in perms (the tuple t[p[0]], t[p[1]], ...), atoms
-    in ``fixed`` (atom -> label in 0..len(fixed)-1) keep their label and
-    every other atom takes the next free label at its first occurrence.
-    Returns the least label tuple and the relabeling (atom -> label) of
-    the first reading that attains it.
+    ``perms`` is a position group. For each reading p in it (the tuple
+    t[p[0]], t[p[1]], ...), atoms in ``fixed`` (atom -> label in
+    0..len(fixed)-1) keep their label and every other atom takes the
+    next free label at its first occurrence. Returns the least label
+    tuple and the relabeling (atom -> label) of the first reading that
+    attains it.
+
+    *One-reading lemma.* A trivial group has one reading, the identity,
+    so t is relabeled in one pass with nothing to compare. Hence a label
+    tuple over a trivial group whose labels outside ``fixed`` already
+    come as len(fixed), len(fixed) + 1, ... in order of first occurrence
+    is its own least labeling (``key_labels``).
     """
+    if len(perms) == 1:
+        ren = fixed.copy()
+        labels = []
+        for a in t:
+            labels.append(ren.setdefault(a, len(ren)))
+        return tuple(labels), ren
     best = best_ren = None
     for p in perms:
         ren = fixed.copy()
@@ -310,6 +323,17 @@ def _identity_labels(n):
     return {i: i for i in range(n)}
 
 
+def key_labels(t, group, n, is_key):
+    """The key labels over n support labels (those below n) of the
+    label tuple t of an orbit with the given position group: t itself
+    when the caller knows it is a key (``is_key``, e.g. by the
+    one-reading lemma of ``first_occurrence_labels``), else its least
+    relabeling over the group's readings."""
+    if is_key:
+        return t
+    return first_occurrence_labels(t, group, _identity_labels(n))[0]
+
+
 def s_orbit_keys(owner, n, budget, orbits=None):
     """The keys of the Perm_S-orbits of the set, or of its ``orbits``
     (indices in ascending order) when given, for S of n atoms.
@@ -317,18 +341,20 @@ def s_orbit_keys(owner, n, budget, orbits=None):
     Per carrier orbit of dimension d, ``orbit_tuples`` over the labels
     0..n-1 of S and n..n+d-1 for fresh atoms gives one tuple per
     Perm_S-orbit of its injective tuples (one tick each), keyed by
-    ``first_occurrence_labels`` over the orbit's position group. A
-    nontrivial group can merge several tuples into one key, so keys are
-    kept at their first tuple, in that order.
+    ``key_labels`` over the orbit's position group. The tuples take
+    their fresh labels in order, so over a trivial group each is its
+    own key (the one-reading lemma). A nontrivial group can merge
+    several tuples into one key, so keys are kept at their first tuple,
+    in that order.
     """
     keys = {}
-    fixed = _identity_labels(n)
     for i in range(len(owner.orbits)) if orbits is None else orbits:
         desc = owner.orbits[i]
-        d = desc.dim
+        d, group = desc.dim, desc.group
+        trivial = len(group) == 1
         for t in orbit_tuples(range(n), range(n, n + d), d):
             budget.tick()
-            keys[i, first_occurrence_labels(t, desc.group, fixed)[0]] = None
+            keys[i, key_labels(t, group, n, trivial)] = None
     return list(keys)
 
 

@@ -282,7 +282,7 @@ def _serialize_subset(name, u, names_of):
     return lines
 
 
-def _subset_block(carrier, lines, start):
+def _subset_block(carrier, lines, start, budget):
     from nommon.fssets import FsSubset
 
     supports, elements = [], []
@@ -298,7 +298,8 @@ def _subset_block(carrier, lines, start):
 
     rows = {"support": support_line, "element": element_line}
     _block(lines, "subset", start, rows)
-    return FsSubset.from_elements(carrier, supports[0] if supports else (), elements)
+    support = supports[0] if supports else ()
+    return FsSubset.from_elements(carrier, support, elements, budget)
 
 
 def _serialize_term(t):
@@ -426,7 +427,7 @@ def _declaration(tokens, lines, start, out, budget):
             carrier = carrier.carrier
         if not isinstance(carrier, OrbitFiniteSet):
             raise InvalidInput(f"unknown set or monoid {rest[2]!r}")
-        return rest[0], _subset_block(carrier, lines, start)
+        return rest[0], _subset_block(carrier, lines, start, budget)
     if head in _ONE_LINE:
         if len(rest) < 2 or rest[1] != "=":
             raise InvalidInput(f"expected '{head} NAME = ...'")
@@ -437,8 +438,9 @@ def _declaration(tokens, lines, start, out, budget):
 def parse(document, budget=None):
     """Parse a definition document into an ordered name -> object dict.
 
-    The enumeration of each monoid's carrier x carrier, and the join of
-    an endpoints bound, are charged to ``budget``.
+    The enumeration of each monoid's carrier x carrier, the join of an
+    endpoints bound and the normalization of each subset are charged to
+    ``budget``.
     """
     budget = ensure_budget(budget)
     out = {}

@@ -50,14 +50,21 @@ syntactic congruence keyed each edge target on its product element
 (``edge_key``), and the bound checks read supports and posmaps off
 unpaired orbit representatives (``is_s_bounded_via_morphism``,
 ``eq_msr_predicate``); they read the keys and the located atoms now.
+Every label tuple was keyed by searching every reading of its orbit's
+position group, a trivial group's one reading included, and every
+refined, swapped or coarsened tuple was relabeled; a trivial-group
+tuple that is its own key is returned as it is now, and
+``keying_by_search`` runs the library the old way.
 The differential tests check the fast paths against these definitions.
 """
 
 import itertools
 import re
+from contextlib import contextmanager
 from itertools import islice, permutations
+from unittest import mock
 
-from nommon import bounds, textfmt
+from nommon import bounds, fssets, sets, textfmt
 from nommon.bounds import BoundReport, JoinResult, SupportBound
 from nommon.catalog import builder
 from nommon.errors import CapExceeded, InvalidInput, ensure_budget
@@ -101,6 +108,72 @@ from nommon.sets import (
     s_orbit_reps as fast_s_orbit_reps,
     strong_set,
 )
+
+
+def first_occurrence_labels_by_search(t, perms, fixed):
+    """Least first-occurrence labeling of t over every reading in perms,
+    with the relabeling of the first reading attaining it; a trivial
+    group's one reading is searched like any other."""
+    best = best_ren = None
+    for p in perms:
+        ren = fixed.copy()
+        labels = []
+        for i in p:
+            a = t[i]
+            if a not in ren:
+                ren[a] = len(ren)
+            labels.append(ren[a])
+        cand = tuple(labels)
+        if best is None or cand < best:
+            best, best_ren = cand, ren
+    return best, best_ren
+
+
+def key_labels_by_search(t, group, n, is_key):
+    """``sets.key_labels`` relabeling every tuple, even one its caller
+    knows to be a key."""
+    return first_occurrence_labels_by_search(t, group, {i: i for i in range(n)})[0]
+
+
+@contextmanager
+def keying_by_search():
+    """Run the library with every key found by the full search, and
+    every subset normalized by ``normalize_by_search``."""
+    with mock.patch.object(sets, "first_occurrence_labels",
+                           first_occurrence_labels_by_search), \
+            mock.patch.object(sets, "key_labels", key_labels_by_search), \
+            mock.patch.object(fssets, "key_labels", key_labels_by_search), \
+            mock.patch.object(fssets, "_normalize", normalize_by_search):
+        yield
+
+
+def normalize_by_search(carrier, support, keys, budget=None):
+    """The least support by the fresh-transposition test, swapping and
+    relabeling every refined key, one tick each."""
+    if not support:
+        return support, keys
+    budget = ensure_budget(budget)
+    b = next(fresh_stream(support))
+    larger = support | {b}
+    with keying_by_search():
+        expanded = fssets._refine(carrier, keys, support, larger, budget)
+    rank = {a: i for i, a in enumerate(sorted(larger))}
+
+    def moved(a):
+        swap = {rank[a]: rank[b], rank[b]: rank[a]}
+        for orbit, labels in expanded:
+            budget.tick()
+            t = tuple(swap.get(l, l) for l in labels)
+            group = carrier.orbits[orbit].group
+            if (orbit, key_labels_by_search(t, group, len(larger), False)) not in expanded:
+                return True
+        return False
+
+    least = frozenset(a for a in support if moved(a))
+    if least == support:
+        return support, keys
+    with keying_by_search():
+        return least, frozenset(fssets._coarsen(carrier, keys, support, least, budget))
 
 
 def tagged_s_orbit_key(x, support):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nommon import bounds, monoid, sets
+from nommon import bounds, monoid
 from nommon.bounds import (
     SupportBound,
     _pairing_image,
@@ -400,15 +400,8 @@ def stop(run, limit):
     return budget.used, None
 
 
-class NoMemo(dict):
-    """A product memo that keeps nothing: every product is built."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.mark.parametrize("run", [first_last_join, first_last_l0_stage])
-def test_budget_stops_alike_with_an_equal_product_held(monkeypatch, run):
+def test_budget_stops_alike_with_an_equal_product_held(request, run):
     # a held product is returned again by product_set and its ticks are
     # charged again, so each run stops where one that builds every
     # product does: one past the limit, as single ticks would
@@ -417,7 +410,7 @@ def test_budget_stops_alike_with_an_equal_product_held(monkeypatch, run):
     carrier = kept.monoid.carrier
     assert product_set(carrier, carrier) is kept.monoid.product
     held = [stop(run, limit) for limit in range(1, full.used + 1)]
-    monkeypatch.setattr(sets, "_PRODUCTS", NoMemo())
+    request.getfixturevalue("cold_products")
     built = [stop(run, limit) for limit in range(1, full.used + 1)]
     assert held == built
     exhausted = [(limit + 1, f"work budget of {limit} exhausted")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from nommon import bounds, language, sets
+from nommon import bounds, language
 from nommon.bounds import (
     SupportBound,
     endpoints_bound,
@@ -23,7 +23,15 @@ from nommon.bounds import (
 )
 from nommon.catalog import builder, catalog_names, letters_map
 from nommon.errors import Budget, CapExceeded, InvalidInput
-from nommon.fssets import FsSubset, _normalize, _refine, fs_boolean, hull, preimage_subset
+from nommon.fssets import (
+    FsSubset,
+    _coarsen,
+    _normalize,
+    _refine,
+    fs_boolean,
+    hull,
+    preimage_subset,
+)
 from nommon.kernel import min_coset
 from nommon.language import (
     Word,
@@ -72,6 +80,7 @@ from nommon.sets import (
     product_set,
     s_key_atoms,
     s_orbit_key,
+    s_orbit_keys,
     s_orbit_reps,
     strong_set,
 )
@@ -336,6 +345,97 @@ def test_hull_matches_the_sweep(data):
     u = FsSubset(carrier, support, keys)
     s = data.draw(st.sets(st.integers(0, 7), max_size=4))
     assert hull(s, u) == reference.hull(s, u)
+
+
+# --- keys of one reading against the full search --------------------------
+
+# trivial and nontrivial position groups side by side in dimensions 2 and 3
+MIXED = OrbitFiniteSet(
+    [
+        OrbitDescriptor(1),
+        OrbitDescriptor(2),
+        OrbitDescriptor(2, [(1, 0)]),
+        OrbitDescriptor(3, [(1, 2, 0)]),
+        OrbitDescriptor(3),
+    ]
+)
+ONE_READING_CARRIERS = CARRIERS + GROUPED + [MIXED]
+
+
+def by_search(f, *args):
+    """f(*args) with every key found by searching all readings."""
+    with reference.keying_by_search():
+        return f(*args)
+
+
+@settings(max_examples=400, **DETERMINISTIC)
+@given(st.data())
+def test_s_orbit_key_matches_the_search(data):
+    carrier = data.draw(st.sampled_from(ONE_READING_CARRIERS))
+    support = frozenset(data.draw(st.sets(st.integers(0, 6), max_size=4)))
+    x = data.draw(elements(carrier, range(7)))
+    assert s_orbit_key(x, support) == by_search(s_orbit_key, x, support)
+
+
+@settings(max_examples=100, **DETERMINISTIC)
+@given(st.sampled_from(ONE_READING_CARRIERS), st.integers(0, 4))
+def test_s_orbit_keys_match_the_search(carrier, n):
+    fast, slow = Budget(), Budget()
+    assert s_orbit_keys(carrier, n, fast) == by_search(s_orbit_keys, carrier, n, slow)
+    assert fast.used == slow.used
+
+
+@settings(max_examples=400, **DETERMINISTIC)
+@given(element_pairs(ONE_READING_CARRIERS))
+def test_pair_pattern_matches_the_search(pair):
+    # the key and the relabeling that attains it
+    assert pair_pattern(*pair) == by_search(pair_pattern, *pair)
+
+
+@pytest.mark.usefixtures("cold_products")
+def test_product_keys_match_the_search_on_every_carrier_pair():
+    for left in ONE_READING_CARRIERS:
+        for right in [MIXED, SMALL_SYMMETRIC] + CARRIERS[:-1]:
+            fast = product_set(left, right)
+            slow = by_search(product_set, left, right)
+            assert fast is not slow
+            assert (fast.patterns, fast.ticks) == (slow.patterns, slow.ticks)
+
+
+def one_reading_subsets():
+    """Subsets with 0-4 support atoms out of 8, on ``ONE_READING_CARRIERS``."""
+    return supported_subsets(st.sampled_from(ONE_READING_CARRIERS), atoms=8, max_support=4)
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(st.data())
+def test_refine_and_coarsen_match_the_search(data):
+    carrier, support, keys = data.draw(one_reading_subsets())
+    larger = support | data.draw(extensions(support))
+    smaller = frozenset(data.draw(st.sets(st.sampled_from(sorted(support))))) if support else support
+    for op, args in ((_refine, (carrier, keys, support, larger)),
+                     (_coarsen, (carrier, keys, support, smaller))):
+        fast, slow = Budget(), Budget()
+        assert op(*args, fast) == by_search(op, *args, slow)
+        assert fast.used == slow.used
+
+
+@settings(max_examples=300, **DETERMINISTIC)
+@given(one_reading_subsets())
+def test_normalize_matches_the_search(case):
+    fast, slow = Budget(), Budget()
+    assert _normalize(*case, fast) == reference.normalize_by_search(*case, slow)
+    assert fast.used == slow.used
+
+
+@settings(max_examples=200, **DETERMINISTIC)
+@given(st.data())
+def test_hull_matches_the_search(data):
+    u = FsSubset(*data.draw(one_reading_subsets()))
+    s = data.draw(st.sets(st.integers(0, 7), max_size=4))
+    fast, slow = Budget(), Budget()
+    assert hull(s, u, fast) == by_search(hull, s, u, slow)
+    assert fast.used == slow.used
 
 
 # --- orbit enumeration ----------------------------------------------------
@@ -1218,45 +1318,40 @@ def test_submonoid_matches_the_concrete_path_on_any_orbit_set(data):
 TABLE_MONOIDS = [builder(n) for n in catalog_names()] + POSITION_GROUP_MONOIDS
 
 
-def fresh_products():
-    """A product memo of this test's own: each product is enumerated
-    afresh the first time, whatever an earlier test left alive."""
-    return mock.patch.object(sets, "_PRODUCTS", {})
-
-
 def check_table(m):
     """monoid_from_concrete reads m's table off the keys of its square
     as the unpairing path does, on the same ticks, and the keys are
     those of the element sweep."""
     fast, slow = Budget(), Budget()
-    with fresh_products():
-        got = monoid_from_concrete(m.carrier, m.unit, m.multiply, budget=fast)
-        want = reference.monoid_by_unpairing(m.carrier, m.unit, m.multiply, budget=slow)
+    got = monoid_from_concrete(m.carrier, m.unit, m.multiply, budget=fast)
+    want = reference.monoid_by_unpairing(m.carrier, m.unit, m.multiply, budget=slow)
     assert got.product.patterns == reference.product_orbits(m.carrier, m.carrier)[0]
     assert got.product.patterns == want.product.patterns
     assert got.mult.assignment == want.mult.assignment == m.mult.assignment
     assert fast.used == slow.used
 
 
+@pytest.mark.usefixtures("cold_products")
 @pytest.mark.parametrize("m", TABLE_MONOIDS)
 def test_tables_match_the_unpairing_path(m):
     check_table(m)
 
 
+@pytest.mark.usefixtures("cold_products")
 @settings(max_examples=100, **DETERMINISTIC)
 @given(redirected_tables(TABLE_MONOIDS))
 def test_tables_match_the_unpairing_path_on_corrupted_tables(m):
     check_table(m)
 
 
+@pytest.mark.usefixtures("cold_products")
 @settings(max_examples=40, **DETERMINISTIC)
 @given(st.data())
 def test_product_keys_match_the_element_sweep_on_position_groups(data):
     # carriers of one to three orbits of SYMMETRIC, in any order
     orbits = st.lists(st.sampled_from(SYMMETRIC.orbits), min_size=1, max_size=3)
     left, right = (OrbitFiniteSet(data.draw(orbits)) for _ in range(2))
-    with fresh_products():
-        prod = product_set(left, right)
+    prod = product_set(left, right)
     groups = tuple(o.group for o in prod.set.orbits)
     assert (prod.patterns, prod.factors, groups) == reference.product_orbits(left, right)
 
@@ -1265,14 +1360,13 @@ def check_componentwise(m, n, pairs):
     """componentwise_monoid reads the table, unit and projections that
     the unpairing path does, on the same ticks."""
     fast, slow = Budget(), Budget()
-    with fresh_products():
-        try:
-            got = componentwise_monoid(m, n, pairs, budget=fast)
-        except CapExceeded:
-            with pytest.raises(CapExceeded):
-                reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
-            return
-        want = reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
+    try:
+        got = componentwise_monoid(m, n, pairs, budget=fast)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
+        return
+    want = reference.componentwise_by_unpairing(m, n, pairs, budget=slow)
     assert got.monoid.product.patterns == want.monoid.product.patterns
     assert got.monoid.mult.assignment == want.monoid.mult.assignment
     assert got.monoid.unit == want.monoid.unit
@@ -1287,6 +1381,7 @@ FACTOR_PAIRS = st.tuples(
 ).filter(lambda mn: mn[0].carrier.bound + mn[1].carrier.bound <= 4)
 
 
+@pytest.mark.usefixtures("cold_products")
 @settings(max_examples=60, **DETERMINISTIC)
 @given(FACTOR_PAIRS)
 def test_componentwise_tables_match_the_unpairing_path(factors):
@@ -1294,6 +1389,7 @@ def test_componentwise_tables_match_the_unpairing_path(factors):
     check_componentwise(m, n, product_set(m.carrier, n.carrier))
 
 
+@pytest.mark.usefixtures("cold_products")
 def test_an_over_cap_product_stops_before_its_first_tick():
     # the S3 null monoid's square has an orbit of dimension 6 with a
     # group of order 36; in the square of that square, the orbit of
@@ -1301,11 +1397,12 @@ def test_an_over_cap_product_stops_before_its_first_tick():
     square = POSITION_GROUP_MONOIDS[2].product.set
     assert max(len(o.group) for o in square.orbits) ** 2 > GROUP_CAP
     for budget in (Budget(), Budget(1)):
-        with fresh_products(), pytest.raises(CapExceeded, match="stabilizer"):
+        with pytest.raises(CapExceeded, match="stabilizer"):
             product_set(square, square, budget=budget)
         assert budget.used == 0
 
 
+@pytest.mark.usefixtures("cold_products")
 @settings(max_examples=60, **DETERMINISTIC)
 @given(map_pairs())
 def test_join_tables_match_the_unpairing_path(maps):
@@ -1317,6 +1414,7 @@ def test_join_tables_match_the_unpairing_path(maps):
     ).monoid
 
 
+@pytest.mark.usefixtures("cold_products")
 @pytest.mark.parametrize("left", LETTER_MAPS)
 def test_join_tables_match_the_unpairing_path_on_catalog_letter_maps(left):
     h1 = letters_map(left)

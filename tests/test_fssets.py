@@ -163,6 +163,29 @@ def test_powerset_atoms_are_singletons():
         assert member(u, x)
 
 
+def test_from_elements_refuses_an_element_of_another_carrier():
+    x = Element(strong_set([2, 0]), 0, [1, 2])
+    with pytest.raises(InvalidInput, match="carrier"):
+        FsSubset.from_elements(A, (), [x])
+
+
+def test_subsets_of_elements_charge_the_callers_budget():
+    # normalizing {5}: one tick refines its key to {5, b} for a fresh b,
+    # one tries the swap of 5 and b on it
+    budget = Budget()
+    u = FsSubset.singleton(atom(5), budget)
+    assert budget.used == 2 and u.support == frozenset({5})
+    budget = Budget()
+    FsSubset.from_elements(A, {5, 7}, [atom(5)], budget=budget)
+    assert budget.used > 0
+    with pytest.raises(BudgetExhausted):
+        FsSubset.from_elements(A, {5, 7}, [atom(5)], budget=Budget(limit=1))
+    # three singletons after the three elements' ticks
+    budget = Budget()
+    powerset_atoms(A, [1, 2, 3], budget)
+    assert budget.used == 3 + 3 * 2
+
+
 def test_fs_boolean_charges_the_callers_budget():
     # a union refines both operands to S-orbits over the union of their
     # supports and normalizes the result
@@ -211,9 +234,11 @@ def test_hull_charges_its_normalization():
 
 
 def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
-    # every relabeling of a key (refinement, full key, swap test,
-    # coarsening) is preceded by exactly one tick, so a budget stops a
-    # boolean operation within one key operation of its limit
+    # every key operation (refinement, full key, swap test, coarsening)
+    # goes through sets.key_labels, a swap that fixes its key and a
+    # tuple that is its own key included, and is preceded by exactly one
+    # tick, so a budget stops a boolean operation within one key
+    # operation of its limit
     carrier = OrbitFiniteSet(
         [OrbitDescriptor(1), OrbitDescriptor(2, [(1, 0)]), OrbitDescriptor(3, [(1, 2, 0)])]
     )
@@ -224,15 +249,15 @@ def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
          FsSubset.from_elements(carrier, {0}, [carrier.element(0, [0])])),
     ]
     events = []
-    relabel = fssets.first_occurrence_labels
+    key_labels = sets.key_labels
 
-    def counted_relabel(*args):
+    def counted_key_labels(*args):
         events.append("key")
-        return relabel(*args)
+        return key_labels(*args)
 
-    monkeypatch.setattr(fssets, "first_occurrence_labels", counted_relabel)
+    monkeypatch.setattr(fssets, "key_labels", counted_key_labels)
     # the complement's full keys come from sets.s_orbit_keys
-    monkeypatch.setattr(sets, "first_occurrence_labels", counted_relabel)
+    monkeypatch.setattr(sets, "key_labels", counted_key_labels)
     budget = Budget()
     tick = budget.tick
 
@@ -255,6 +280,22 @@ def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
             between += 1
             assert between <= 1
     assert events.count("key") == events.count("tick") == budget.used > 0
+
+
+def test_trivial_group_keys_need_no_relabeling(monkeypatch):
+    # refined tuples and full keys over trivial groups are their own
+    # keys; only coarsening relabels them, in one reading
+    def searched(*args):
+        raise AssertionError("a trivial-group key was relabeled")
+
+    monkeypatch.setattr(sets, "first_occurrence_labels", searched)
+    # a module that imports the relabeling would bypass the patch above
+    monkeypatch.setattr(fssets, "first_occurrence_labels", searched, raising=False)
+    carrier = strong_set([0, 1, 2, 3])
+    keys = {(2, (0, 2)), (3, (2, 1, 3)), (0, ()), (1, (0,))}
+    refined = _refine(carrier, keys, {1, 5}, {0, 1, 3, 5, 7}, Budget())
+    assert len(refined) > len(keys)
+    assert len(sets.s_orbit_keys(carrier, 3, Budget())) == 1 + 4 + 13 + 34
 
 
 # --- boolean laws on every carrier ----------------------------------------

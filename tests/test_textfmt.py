@@ -105,6 +105,15 @@ def test_parse_charges_an_endpoints_bound_to_its_budget():
     assert parsed.used == built.used > 0
 
 
+def test_parse_charges_a_subset_normalization_to_its_budget():
+    a = atoms_set()
+    text = serialize({"A": a, "u": FsSubset.singleton(Element(a, 0, [4]))})
+    parsed, built = Budget(), Budget()
+    parse(text, parsed)
+    FsSubset.from_elements(a, {4}, [Element(a, 0, [4])], budget=built)
+    assert parsed.used == built.used > 0
+
+
 # --- hand-written documents -----------------------------------------------
 
 
