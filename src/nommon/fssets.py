@@ -40,7 +40,12 @@ from nommon.sets import (
 
 
 class FsSubset:
-    """Finitely supported subset: support + keys of the held S-orbits."""
+    """Finitely supported subset: support + keys of the held S-orbits.
+
+    Keys are canonical: each is the ``s_orbit_key`` over the support of
+    an element of the carrier, as ``s_orbit_keys`` and the constructors
+    below give them. The key operations rely on it and check none.
+    """
 
     __slots__ = ("carrier", "support", "keys", "_hash")
 
@@ -135,7 +140,8 @@ def _refine(carrier, keys, support, larger, budget):
     """The S'-orbit keys of the union of the S-orbits with the given
     keys, for S' >= S; one tick per S'-orbit of each S-orbit. Old labels
     go to their ranks and ``_fresh_images`` numbers the kept fresh ones
-    in order, so over a trivial group a refined tuple is its own key."""
+    in order, so over a trivial group the refined tuple of a canonical
+    key is its own key; every key must be canonical (``FsSubset``)."""
     if len(larger) == len(support):
         return set(keys)
     big = sorted(larger)
@@ -146,15 +152,14 @@ def _refine(carrier, keys, support, larger, budget):
     images = {}
     out = set()
     for orbit, labels in keys:
-        group = carrier.orbits[orbit].group
-        trivial = len(group) == 1
+        desc = carrier.orbits[orbit]
         m = sum(1 for l in labels if l >= k)
         if m not in images:
             images[m] = _fresh_images(m, new, n)
         for img in images[m]:
             budget.tick()
             t = tuple([old[l] if l < k else img[l - k] for l in labels])
-            out.add((orbit, key_labels(t, group, n, trivial)))
+            out.add((orbit, key_labels(t, desc, n, True)))
     return out
 
 
@@ -170,7 +175,7 @@ def _coarsen(carrier, keys, support, smaller, budget):
     for orbit, labels in keys:
         budget.tick()
         t = tuple(img[l] if l < n else c + l for l in labels)
-        out.add((orbit, key_labels(t, carrier.orbits[orbit].group, c, False)))
+        out.add((orbit, key_labels(t, carrier.orbits[orbit], c, False)))
     return out
 
 
@@ -182,9 +187,8 @@ def _normalize(carrier, support, keys, budget=None):
     intersection of all supports. So one refinement to S + {b} decides
     every atom: the least support is the set of atoms a for which
     swapping the labels of a and b sends some held key outside the
-    held ones (one tick per key tried). The swap leaves fresh labels in
-    order, so over a trivial group a swapped tuple is its own key, and
-    under any group the swap fixes a key holding neither label.
+    held ones (one tick per key tried). The swap moves only support
+    labels, so over a trivial group a swapped key is its own key.
     """
     if not support:
         return support, keys
@@ -196,17 +200,11 @@ def _normalize(carrier, support, keys, budget=None):
     n = len(larger)
 
     def moved(a):
-        ra, rb = rank[a], rank[b]
-        swap = {ra: rb, rb: ra}
+        swap = {rank[a]: rank[b], rank[b]: rank[a]}
         for orbit, labels in expanded:
             budget.tick()
-            group = carrier.orbits[orbit].group
-            if ra in labels or rb in labels:
-                t = tuple([swap.get(l, l) for l in labels])
-                is_key = len(group) == 1
-            else:
-                t, is_key = labels, True
-            if (orbit, key_labels(t, group, n, is_key)) not in expanded:
+            t = tuple([swap.get(l, l) for l in labels])
+            if (orbit, key_labels(t, carrier.orbits[orbit], n, True)) not in expanded:
                 return True
         return False
 
@@ -247,11 +245,11 @@ def fs_boolean(op, u, v=None, budget=None):
     raise InvalidInput(f"unknown boolean operation {op!r}")
 
 
-def apply_perm_subset(pi, u, budget=None):
+def apply_perm_subset(pi, u):
     """pi . U, with supp(pi . U) = pi[supp U]."""
     support = frozenset(pi(a) for a in u.support)
     elems = [act(pi, r) for r in u.reps()]
-    return FsSubset.from_elements(u.carrier, support, elems, budget)
+    return FsSubset.from_elements(u.carrier, support, elems)
 
 
 def hull(support, u, budget=None):

@@ -323,15 +323,16 @@ def _identity_labels(n):
     return {i: i for i in range(n)}
 
 
-def key_labels(t, group, n, is_key):
+def key_labels(t, desc, n, in_order):
     """The key labels over n support labels (those below n) of the
-    label tuple t of an orbit with the given position group: t itself
-    when the caller knows it is a key (``is_key``, e.g. by the
-    one-reading lemma of ``first_occurrence_labels``), else its least
-    relabeling over the group's readings."""
-    if is_key:
+    label tuple t of an orbit with descriptor ``desc``: its least
+    relabeling over the position group's readings. When the caller
+    built t with its labels from n up in order of first occurrence
+    (``in_order``) and the group is trivial, that is t itself, by the
+    one-reading lemma of ``first_occurrence_labels``."""
+    if in_order and not desc.moves:
         return t
-    return first_occurrence_labels(t, group, _identity_labels(n))[0]
+    return first_occurrence_labels(t, desc.group, _identity_labels(n))[0]
 
 
 def s_orbit_keys(owner, n, budget, orbits=None):
@@ -350,11 +351,10 @@ def s_orbit_keys(owner, n, budget, orbits=None):
     keys = {}
     for i in range(len(owner.orbits)) if orbits is None else orbits:
         desc = owner.orbits[i]
-        d, group = desc.dim, desc.group
-        trivial = len(group) == 1
+        d = desc.dim
         for t in orbit_tuples(range(n), range(n, n + d), d):
             budget.tick()
-            keys[i, key_labels(t, group, n, trivial)] = None
+            keys[i, key_labels(t, desc, n, True)] = None
     return list(keys)
 
 

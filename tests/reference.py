@@ -129,10 +129,10 @@ def first_occurrence_labels_by_search(t, perms, fixed):
     return best, best_ren
 
 
-def key_labels_by_search(t, group, n, is_key):
+def key_labels_by_search(t, desc, n, in_order):
     """``sets.key_labels`` relabeling every tuple, even one its caller
     knows to be a key."""
-    return first_occurrence_labels_by_search(t, group, {i: i for i in range(n)})[0]
+    return first_occurrence_labels_by_search(t, desc.group, {i: i for i in range(n)})[0]
 
 
 @contextmanager
@@ -164,8 +164,8 @@ def normalize_by_search(carrier, support, keys, budget=None):
         for orbit, labels in expanded:
             budget.tick()
             t = tuple(swap.get(l, l) for l in labels)
-            group = carrier.orbits[orbit].group
-            if (orbit, key_labels_by_search(t, group, len(larger), False)) not in expanded:
+            desc = carrier.orbits[orbit]
+            if (orbit, key_labels_by_search(t, desc, len(larger), False)) not in expanded:
                 return True
         return False
 

@@ -438,6 +438,22 @@ def test_hull_matches_the_search(data):
     assert fast.used == slow.used
 
 
+@settings(max_examples=200, **DETERMINISTIC)
+@given(st.data())
+def test_stored_keys_are_their_own_keys_under_the_search(data):
+    # refinement and the swap take an in-order trivial-group tuple as
+    # its key, which holds only if every stored key is canonical
+    carrier, support, keys = data.draw(one_reading_subsets())
+    u = FsSubset(carrier, support, keys)
+    xs = data.draw(st.lists(elements(carrier, range(8)), max_size=3))
+    v = FsSubset.from_elements(carrier, support, xs)
+    for w in (u, v, fs_boolean("union", u, v), fs_boolean("complement", u)):
+        n = len(w.support)
+        for orbit, labels in w.keys:
+            desc = carrier.orbits[orbit]
+            assert reference.key_labels_by_search(labels, desc, n, False) == labels
+
+
 # --- orbit enumeration ----------------------------------------------------
 
 

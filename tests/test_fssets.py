@@ -235,10 +235,9 @@ def test_hull_charges_its_normalization():
 
 def test_fs_boolean_ticks_once_per_key_operation(monkeypatch):
     # every key operation (refinement, full key, swap test, coarsening)
-    # goes through sets.key_labels, a swap that fixes its key and a
-    # tuple that is its own key included, and is preceded by exactly one
-    # tick, so a budget stops a boolean operation within one key
-    # operation of its limit
+    # goes through sets.key_labels, a tuple that is its own key
+    # included, and is preceded by exactly one tick, so a budget stops a
+    # boolean operation within one key operation of its limit
     carrier = OrbitFiniteSet(
         [OrbitDescriptor(1), OrbitDescriptor(2, [(1, 0)]), OrbitDescriptor(3, [(1, 2, 0)])]
     )
