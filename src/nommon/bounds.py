@@ -29,8 +29,8 @@ from nommon.sets import (
     key_components,
     map_from_concrete,
     orbit_reps,
-    orbit_tuples,
     pair_pattern,
+    s_orbit_keys,
 )
 
 MSR_ORBIT_CAP = 12
@@ -72,10 +72,10 @@ def _pairing_image(h1, h2, budget):
     The closure runs on pair patterns, the ``ProductSet`` keys, from the
     unit's and the letters' keys. Each pair of a nonempty word w'a is
     (h1(w'), h2(w')) times (h1(a), h2(a)), so each reached key is
-    multiplied out once by each letter key: u is the reached key's
-    reference pair, and v one pair of the letter key per
-    Perm_{supp u}-orbit (``orbit_tuples``), as that orbit decides the
-    orbit of u v; one tick before each such componentwise product. The
+    multiplied out once by the letter pairs: u is the reached key's
+    reference pair, and v one letter pair per Perm_{supp u}-orbit, as
+    that orbit decides the orbit of u v: ``s_orbit_keys`` over
+    ``letter_pairs``, one tick before each componentwise product. The
     walk starts at the second key: the first is the unit's, an orbit of
     one pair, so its products are the letter pairs, reached already.
     """
@@ -92,19 +92,14 @@ def _pairing_image(h1, h2, budget):
             keys.append(key)
         return key
 
-    def multiply_out(i, j):
-        di, dj = dims[i], dims[j]
-        ux, uy = key_components(m1.carrier, m2.carrier, i, range(di))
-        for t in orbit_tuples(range(di), range(di, di + dj), dj):
-            budget.tick()
-            vx, vy = key_components(m1.carrier, m2.carrier, j, t)
-            reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
-
     reach(m1.unit, m2.unit)
-    letters = list(dict.fromkeys(reach(h1(x), h2(x)) for x in orbit_reps(h1.sigma)))
+    letters = dict.fromkeys(reach(h1(x), h2(x)) for x in orbit_reps(h1.sigma))
+    letter_pairs = ProductSet(m1.carrier, m2.carrier, letters)
     for k in itertools.islice(keys, 1, None):  # keys grows while it is walked
-        for j in letters:
-            multiply_out(k, j)
+        ux, uy = key_components(m1.carrier, m2.carrier, k, range(dims[k]))
+        for j, t in s_orbit_keys(letter_pairs.set, dims[k], budget):
+            vx, vy = letter_pairs.components(j, t)
+            reach(m1.multiply(ux, vx), m2.multiply(uy, vy))
     return ProductSet(m1.carrier, m2.carrier, sorted(keys))
 
 

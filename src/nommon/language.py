@@ -161,7 +161,7 @@ def syntactic_congruence(m, p, budget=None):
     s = p.support
     prod = m.product
     gens = sorted(generating_orbits(m))
-    nodes = s_orbit_keys(prod.set, len(s), budget)
+    nodes = list(s_orbit_keys(prod.set, len(s), budget))
     preds = {key: [] for key in nodes}
     removed = []
     contexts = {}  # S + supp x + supp y -> generator representatives

@@ -615,8 +615,8 @@ def quotient(m, cong, budget=None):
 
     - If some kept key has factors (i, j) with i < j (take the least
       i), then [r_j] = [y] = [r_i]. So j's posmap puts at position p
-      the place in y of the p-th atom of i's posmap, read least under
-      the quotient orbit's group.
+      the place in y of the p-th atom of i's posmap (``EquivariantMap``
+      stores it least under the quotient orbit's group).
     - Otherwise j leads a new quotient orbit. supp [r_j] is the
       intersection of supp y over the y ~ r_j, as (a b)x ~ x for a
       fresh b iff a is not in supp [x]. Every y ~ r_j is the image of a
@@ -654,8 +654,7 @@ def quotient(m, cong, budget=None):
             i, y = least[j]
             q = assignment[i].orbit
             position = {a: p for p, a in enumerate(y)}
-            posmap = tuple(position[a] for a in assignment[i].posmap)
-            assignment.append(Assignment(q, min_coset(posmap, descriptors[q].moves)))
+            assignment.append(Assignment(q, [position[a] for a in assignment[i].posmap]))
             continue
         common = set(range(desc.dim)).intersection(*(y for _, y in ys[j]))
         sup = tuple(a for a in range(desc.dim) if all(g[a] in common for g in desc.group))

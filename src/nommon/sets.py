@@ -192,7 +192,7 @@ def orbit_tuples(support, fresh, n):
     one Perm_S-orbit iff they agree on the positions holding S-atoms;
     the tuple given for an orbit takes its fresh atoms in order, which
     makes it the orbit's first tuple in ``permutations(support + fresh,
-    n)``, and the tuples come in that order.
+    n)``, and the tuples come in that order, for ``s_orbit_keys``.
     """
     support = tuple(support)
     fresh = tuple(fresh)
@@ -337,25 +337,31 @@ def key_labels(t, desc, n, in_order):
 
 def s_orbit_keys(owner, n, budget, orbits=None):
     """The keys of the Perm_S-orbits of the set, or of its ``orbits``
-    (indices in ascending order) when given, for S of n atoms.
+    (indices in ascending order) when given, for S of n atoms, yielded
+    lazily: the one Perm_S-orbit enumeration, read by ``product_set``,
+    the pairing closure, fssets and the syntactic congruence.
 
     Per carrier orbit of dimension d, ``orbit_tuples`` over the labels
     0..n-1 of S and n..n+d-1 for fresh atoms gives one tuple per
-    Perm_S-orbit of its injective tuples (one tick each), keyed by
-    ``key_labels`` over the orbit's position group. The tuples take
-    their fresh labels in order, so over a trivial group each is its
-    own key (the one-reading lemma). A nontrivial group can merge
-    several tuples into one key, so keys are kept at their first tuple,
-    in that order.
+    Perm_S-orbit, keyed by ``key_labels`` over the orbit's position
+    group after one tick, so a caller's work per key comes between two
+    ticks. A key is yielded at its first tuple. The tuples take their
+    fresh labels in order, so over a trivial group distinct tuples are
+    distinct keys (the one-reading lemma): only a nontrivial group's
+    keys are remembered.
     """
-    keys = {}
     for i in range(len(owner.orbits)) if orbits is None else orbits:
         desc = owner.orbits[i]
         d = desc.dim
+        seen = set()
         for t in orbit_tuples(range(n), range(n, n + d), d):
             budget.tick()
-            keys[i, key_labels(t, desc, n, True)] = None
-    return list(keys)
+            key = key_labels(t, desc, n, True)
+            if desc.moves:
+                if key in seen:
+                    continue
+                seen.add(key)
+            yield i, key
 
 
 def s_orbit_reps(owner, support, budget=None, orbits=None):
@@ -403,28 +409,33 @@ class EquivariantMap:
     """Finitely presented equivariant map between orbit-finite sets.
 
     Per source orbit: a target orbit plus an injective map from target
-    positions to source positions. Well-definedness w.r.t. the source
-    orbit groups is a property checked by check_map_well_defined.
+    positions to source positions, stored least under the target
+    orbit's group so that equal maps compare equal. Well-definedness
+    w.r.t. the source orbit groups is checked by check_map_well_defined.
     """
 
     __slots__ = ("source", "target", "assignment")
 
     def __init__(self, source, target, assignment):
-        assignment = tuple(assignment)
+        assignment = list(assignment)
         if len(assignment) != len(source.orbits):
             raise InvalidInput("assignment must cover every source orbit")
         for src_idx, a in enumerate(assignment):
+            if not 0 <= a.orbit < len(target.orbits):
+                raise InvalidInput(f"target orbit {a.orbit} out of range")
+            desc = target.orbits[a.orbit]
             n = source.orbits[src_idx].dim
-            m = target.orbits[a.orbit].dim
-            if len(a.posmap) != m:
+            if len(a.posmap) != desc.dim:
                 raise InvalidInput("posmap length must equal target dimension")
             if any(not (0 <= p < n) for p in a.posmap):
                 raise InvalidInput("posmap index out of range")
             if len(set(a.posmap)) != len(a.posmap):
                 raise InvalidInput("posmap must be injective")
+            if desc.moves:
+                assignment[src_idx] = Assignment(a.orbit, min_coset(a.posmap, desc.moves))
         self.source = source
         self.target = target
-        self.assignment = assignment
+        self.assignment = tuple(assignment)
 
     def __call__(self, x):
         return apply_map(self, x)
@@ -541,6 +552,18 @@ def check_map_well_defined(f):
 # products
 
 
+def least_y_labels(xt, x_group, t, y_group):
+    """The least ``first_occurrence_labels`` of t over ``y_group`` with
+    xt[g[i]] at label i, over g in ``x_group``, and its relabeling: the
+    G_x-minimization of ``pair_pattern`` and ``product_set``."""
+    best = best_ren = None
+    for g in x_group:
+        cand, ren = first_occurrence_labels(t, y_group, {xt[p]: i for i, p in enumerate(g)})
+        if best is None or cand < best:
+            best, best_ren = cand, ren
+    return best, best_ren
+
+
 def pair_pattern(x, y):
     """Canonical orbit invariant of the pair (x, y) plus the minimizing
     relabeling atom -> label in {0..d-1}.
@@ -556,16 +579,8 @@ def pair_pattern(x, y):
     d! relabelings.
     """
     xt = x.tuple
-    ygroup = y.descriptor().group
-    best = best_ren = None
-    for g in x.descriptor().group:
-        cand, ren = first_occurrence_labels(
-            y.tuple, ygroup, {xt[p]: i for i, p in enumerate(g)}
-        )
-        if best is None or cand < best:
-            best = cand
-            best_ren = ren
-    return (x.orbit, tuple(range(len(xt))), y.orbit, best), best_ren
+    labels, ren = least_y_labels(xt, x.descriptor().group, y.tuple, y.descriptor().group)
+    return (x.orbit, tuple(range(len(xt))), y.orbit, labels), ren
 
 
 def key_components(left, right, key, atoms):
@@ -590,14 +605,14 @@ class ProductSet:
 
     *Ordering lemma.* With x the reference element of a left orbit
     (atoms 0..m-1), ``product_set`` meets the orbits of pairs (x, y) in
-    the order of their first tuples in ``orbit_tuples`` over the labels
-    0..m-1 and m..m+n-1, which come in lexicographic order. An orbit's
-    first tuple is its key's y labels: those labels are one of its
-    tuples there (x keeps 0..m-1 up to G_x, the other atoms are
-    numbered by first occurrence), and each of its tuples there is one
-    of the labelings the key minimizes over. So the keys come in sorted
-    order, and a sorted sublist of them numbers its orbits as the full
-    product does, restricted to them.
+    the order of their first tuples in ``s_orbit_keys(Y, m)``, which
+    come per orbit of Y in lexicographic order. An orbit's first tuple
+    is its key's y labels: those labels are one of its tuples there (x
+    keeps 0..m-1 up to G_x, the other atoms are numbered by first
+    occurrence), and each of its tuples there is one of the labelings
+    the key minimizes over. So the keys come in sorted order, and a
+    sorted sublist of them numbers its orbits as the full product does,
+    restricted to them.
     """
 
     def __init__(self, left, right, keys):
@@ -686,14 +701,14 @@ class ProductSet:
 def product_set(x_set, y_set, budget=None):
     """Every orbit of X x Y, with pairing and unpairing.
 
-    With x the reference element of a left orbit (atoms 0..m-1), the
-    orbits of pairs (x, y) are the Perm_{0..m-1}-orbits of y, so y runs
-    over ``orbit_tuples`` with the labels m..m+n-1 as fresh atoms (one
-    tick each), and a key is kept at its first tuple. A tuple t is keyed
-    on raw labels, as ``pair_pattern`` keys the pair (x, t): its y labels
-    are the least ``first_occurrence_labels`` of t over G_y, with x's
-    atoms fixed at their labels under each reading g in G_x (atom g[i]
-    takes label i). No element is built.
+    With x the reference element of a left orbit i (atoms 0..m-1), the
+    orbits of pairs (x, y) are the Perm_{0..m-1}-orbits of y, keyed
+    (i, 0..m-1, j, y) for the keys (j, y) of ``s_orbit_keys(Y, m)`` (one
+    tick per tuple), y minimized again over a nontrivial G_x
+    (``least_y_labels``). That is exact: y relabels a G_y-reading of its
+    first tuple t, keeping the labels 0..m-1, and first-occurrence
+    labelling under a fixed reading of x's atoms ignores the names of
+    fresh atoms and minimizes over G_y. No element is built.
 
     While a product of the same carriers is alive it is returned again,
     and the ticks of its enumeration are charged once more, so the
@@ -715,20 +730,15 @@ def product_set(x_set, y_set, budget=None):
     used = budget.used
     keys = {}
     for i, xd in enumerate(x_set.orbits):
-        m = xd.dim
-        x_labels = tuple(range(m))
-        readings = [{a: label for label, a in enumerate(g)} for g in xd.group]
-        for j, yd in enumerate(y_set.orbits):
-            n = yd.dim
-            y_group = yd.group
-            for t in orbit_tuples(x_labels, range(m, m + n), n):
-                budget.tick()
-                y_labels = min(first_occurrence_labels(t, y_group, r)[0] for r in readings)
-                key = (i, x_labels, j, y_labels)
-                if key not in keys:
-                    if len(keys) >= ORBIT_CAP:
-                        raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in product")
-                    keys[key] = None
+        x_labels = tuple(range(xd.dim))
+        for j, y in s_orbit_keys(y_set, xd.dim, budget):
+            if xd.moves:
+                y = least_y_labels(x_labels, xd.group, y, y_set.orbits[j].group)[0]
+            key = (i, x_labels, j, y)
+            if key not in keys:
+                if len(keys) >= ORBIT_CAP:
+                    raise CapExceeded(f"orbit cap {ORBIT_CAP} exceeded in product")
+                keys[key] = None
     product = ProductSet(x_set, y_set, keys)
     product.ticks = budget.used - used  # what a hit charges
     _PRODUCTS[x_set, y_set] = product

@@ -22,7 +22,6 @@ serialization of canonical objects round-trips exactly.
 import re
 
 from nommon.errors import InvalidInput, ensure_budget
-from nommon.kernel import min_coset
 from nommon.monoid import MonoidMorphism, NominalMonoid
 from nommon.sets import (
     Assignment,
@@ -152,13 +151,10 @@ def _serialize_orbit(desc):
 def _mult_entries(m):
     """One '(pattern) . (pattern) -> value' line per product orbit, on its
     reference pair: the key's labels are the atoms, and the value is the
-    least reading of the posmap under the target orbit's group."""
-    orbits = m.carrier.orbits
+    posmap, which ``EquivariantMap`` stores least under its group."""
     return [
         "  mult {} . {} -> {}".format(
-            _fmt_call(i, left),
-            _fmt_call(j, right),
-            _fmt_call(a.orbit, min_coset(a.posmap, orbits[a.orbit].moves)),
+            _fmt_call(i, left), _fmt_call(j, right), _fmt_call(a.orbit, a.posmap)
         )
         for (i, left, j, right), a in zip(m.product.patterns, m.mult.assignment)
     ]
@@ -233,7 +229,7 @@ def _build_monoid(carrier, unit_line, mult_lines, budget):
 
 
 def _named(names_of, obj, role):
-    name = names_of.get(id(obj))
+    name = names_of.get(obj)
     if name is None:
         raise InvalidInput(f"{role} must be serialized in the same document")
     return name
@@ -365,10 +361,9 @@ def _serialize_bound(name, s):
     if s.variant == "constant":
         atoms = " ".join(f"a{a}" for a in sorted(s.data))
         return f"bound {name} = constant {atoms}".rstrip()
-    label = getattr(s, "label", None)
-    if label is None:
+    if s.label is None:
         raise InvalidInput("only constant and named via-morphism bounds serialize")
-    return f"bound {name} = {label}"
+    return f"bound {name} = {s.label}"
 
 
 def _parse_bound(tokens, budget):
@@ -461,13 +456,13 @@ def serialize(objects):
     from nommon.language import Word
     from nommon.prolimit import OmegaTerm
 
+    # keyed on values, so that an equal monoid built elsewhere finds its name
     names_of = {}
     for name, obj in objects.items():
-        if isinstance(obj, OrbitFiniteSet):
-            names_of[id(obj)] = name
-        elif isinstance(obj, NominalMonoid):
-            names_of[id(obj)] = name
-            names_of[id(obj.carrier)] = name
+        if isinstance(obj, (OrbitFiniteSet, NominalMonoid)):
+            names_of[obj] = name
+        if isinstance(obj, NominalMonoid):
+            names_of[obj.carrier] = name
     lines = []
     for name, obj in objects.items():
         if isinstance(obj, OrbitFiniteSet):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from nommon import bounds, language
+from nommon import bounds, language, sets
 from nommon.bounds import (
     SupportBound,
     endpoints_bound,
@@ -67,6 +67,7 @@ from nommon.sets import (
     EquivariantMap,
     OrbitDescriptor,
     OrbitFiniteSet,
+    ProductSet,
     act,
     atoms_set,
     check_map_well_defined,
@@ -380,9 +381,19 @@ def test_s_orbit_key_matches_the_search(data):
 @settings(max_examples=100, **DETERMINISTIC)
 @given(st.sampled_from(ONE_READING_CARRIERS), st.integers(0, 4))
 def test_s_orbit_keys_match_the_search(carrier, n):
+    # the keys are yielded lazily, so the search runs only while they are
+    # drawn: draw them inside the patch, and check that it keyed each tuple
+    searched = []
+
+    def key_labels(*args):
+        searched.append(args)
+        return reference.key_labels_by_search(*args)
+
     fast, slow = Budget(), Budget()
-    assert s_orbit_keys(carrier, n, fast) == by_search(s_orbit_keys, carrier, n, slow)
-    assert fast.used == slow.used
+    with reference.keying_by_search(), mock.patch.object(sets, "key_labels", key_labels):
+        slow_keys = list(s_orbit_keys(carrier, n, slow))
+    assert list(s_orbit_keys(carrier, n, fast)) == slow_keys
+    assert len(searched) == slow.used == fast.used
 
 
 @settings(max_examples=400, **DETERMINISTIC)
@@ -973,6 +984,21 @@ def test_constant_bounds_read_the_closed_orbits(name):
 SYMMETRIC_ALPHABETS = {
     k: OrbitFiniteSet([OrbitDescriptor(1), SYMMETRIC.orbits[k]]) for k in (3, 4, 5, 6)
 }
+
+
+def test_letter_closure_matches_the_all_pairs_closure_on_unordered_pair_letters():
+    # a letter {a, b} sent to unordered pairs on both sides gives a letter
+    # pair whose stabilizer swaps a and b: its two tuples one swap apart
+    # are one pair, multiplied out once
+    sigma = SYMMETRIC_ALPHABETS[3]
+    monoids = [null_monoid(SYMMETRIC.orbits[3]), unordered_pair_zero()]
+    stabilized = 0
+    for m1, m2 in product(monoids, repeat=2):
+        for h1, h2 in product(enumerate_monoid_maps(sigma, m1), enumerate_monoid_maps(sigma, m2)):
+            letters = dict.fromkeys(pair_pattern(h1(x), h2(x))[0] for x in orbit_reps(sigma))
+            stabilized += any(o.moves for o in ProductSet(m1.carrier, m2.carrier, letters).set.orbits)
+            check_letter_closure(h1, h2)
+    assert stabilized
 
 
 @settings(max_examples=60, **DETERMINISTIC)

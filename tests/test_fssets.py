@@ -294,7 +294,7 @@ def test_trivial_group_keys_need_no_relabeling(monkeypatch):
     keys = {(2, (0, 2)), (3, (2, 1, 3)), (0, ()), (1, (0,))}
     refined = _refine(carrier, keys, {1, 5}, {0, 1, 3, 5, 7}, Budget())
     assert len(refined) > len(keys)
-    assert len(sets.s_orbit_keys(carrier, 3, Budget())) == 1 + 4 + 13 + 34
+    assert len(list(sets.s_orbit_keys(carrier, 3, Budget()))) == 1 + 4 + 13 + 34
 
 
 # --- boolean laws on every carrier ----------------------------------------

@@ -76,6 +76,23 @@ def test_element_refuses_an_orbit_index_out_of_range(index):
         owner.element(index, ())
 
 
+@pytest.mark.parametrize("index", [-1, 1])
+def test_a_map_refuses_a_target_orbit_out_of_range(index):
+    # -1 would read the last target orbit from the end
+    x = strong_set([1])
+    with pytest.raises(InvalidInput, match=f"target orbit {index} out of range"):
+        EquivariantMap(x, x, [Assignment(index, (0,))])
+
+
+def test_a_map_stores_each_posmap_as_its_least_reading():
+    # (1 0) and (0 1) are one posmap onto unordered pairs
+    p = unordered_pairs()
+    f = EquivariantMap(p, p, [Assignment(0, (1, 0))])
+    assert f.assignment == (Assignment(0, (0, 1)),)
+    assert f == identity_map(p)
+    assert f(Element(p, 0, (4, 2))) == Element(p, 0, (2, 4))
+
+
 def test_action_is_group_action():
     p = unordered_pairs()
     x = Element(p, 0, [0, 5])
@@ -367,6 +384,17 @@ def test_a_held_product_is_returned_with_its_ticks():
     prod = product_set(x, x, budget=cold)
     assert product_set(strong_set([0, 1, 2]), x, budget=warm) is prod
     assert warm.used == cold.used > 0
+
+
+@pytest.mark.usefixtures("cold_products")
+def test_trivial_group_products_need_no_relabeling(monkeypatch):
+    # with G_x and G_y trivial, each tuple of s_orbit_keys is its key
+    def searched(*args):
+        raise AssertionError("a trivial-group product relabeled a tuple")
+
+    monkeypatch.setattr(sets, "first_occurrence_labels", searched)
+    x = strong_set([0, 1, 2])
+    assert len(product_set(x, x).patterns) == 1 + 1 + 1 + 1 + 2 + 3 + 1 + 3 + 7
 
 
 def test_the_weak_tables_keep_nothing_alive():

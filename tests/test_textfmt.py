@@ -11,7 +11,7 @@ from nommon.catalog import builder, catalog_names, catalog_quotient
 from nommon.errors import Budget, InvalidInput
 from nommon.fssets import FsSubset
 from nommon.language import Word, catalog_language
-from nommon.monoid import validate_monoid, validate_morphism
+from nommon.monoid import identity_morphism, validate_monoid, validate_morphism
 from nommon.prolimit import OmegaTerm
 from nommon.sets import Element, OrbitDescriptor, OrbitFiniteSet, atoms_set
 from nommon.textfmt import TextFormatError, _at, parse, serialize
@@ -257,6 +257,35 @@ def test_hand_written_morphism_validates():
     back = parse(COMPARE_MORPHISM)["e"]
     assert validate_morphism(back).ok
     assert back.map == e.map
+
+
+def swap_morphism(row):
+    """NULL_PAIRS with an endomorphism whose pair row reads ``row``."""
+    return NULL_PAIRS + (
+        "morphism h : P -> P\n"
+        "  map 0() -> 0()\n"
+        "  map 1() -> 1()\n"
+        f"  map 2(x0 x1) -> {row}\n"
+        "end\n"
+    )
+
+
+def test_a_map_row_read_under_its_group_is_the_same_map():
+    # both rows name the identity on unordered pairs
+    given, swapped = (parse(swap_morphism(row)) for row in ("2(x0 x1)", "2(x1 x0)"))
+    assert validate_morphism(given["h"]).ok and validate_morphism(swapped["h"]).ok
+    assert given["h"] == swapped["h"]
+    assert serialize(given) == serialize(swapped) == swap_morphism("2(x0 x1)")
+
+
+def test_a_morphism_of_an_equal_monoid_built_elsewhere_serializes():
+    # monoids hash by value, so the morphism finds its domain's name
+    m = builder("first_proj")
+    doc = {"M": m, "e": identity_morphism(builder("first_proj"))}
+    text = serialize(doc)
+    back = parse(text)
+    assert back["e"] == doc["e"]
+    assert serialize(back) == text
 
 
 # --- errors ---------------------------------------------------------------
